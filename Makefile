@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench tables chaos recovery smp persist journal server rmr resilience examples check fuzz fmt lint vet clean tier1
+.PHONY: all build test race cover bench tables pin examples check fuzz fmt lint vet clean tier1
 
 all: build vet test
 
@@ -30,57 +30,11 @@ bench:
 tables:
 	$(GO) run ./cmd/rasbench -iters 50000
 
-# Seeded fault-injection sweep; failures print a one-line seed reproducer.
-chaos:
-	$(GO) run ./cmd/rasbench -table chaos
-
-# Recoverable mutual exclusion: thread-kill sweeps on both substrates,
-# checkpoint replay, crash restore (>= 1000 schedules).
-recovery:
-	$(GO) run ./cmd/rasbench -table recovery
-
-# SMP sweep: the §7 hybrid RAS+spinlock vs pure spinlock vs ll/sc across
-# CPU counts, with per-passage cycle and RMR costs in both counting modes.
-smp:
-	$(GO) run ./cmd/rasbench -table smp -cpus 1,2,4
-
-# NVRAM persistence (E23): volatile-crash sweeps on both substrates, the
-# under-flush control, and the exhaustive crash-at-every-flush-boundary
-# walk; the dedicated mcheck persist tests run alongside.
-persist:
-	$(GO) run ./cmd/rasbench -table persist
-	$(GO) test -run 'Persist|Underflush' ./internal/mcheck/
-
-# Server request-plane load study (E25): the per-CPU data plane against
-# the global mutex queue, over a million replayed requests on the SMP
-# guest and the uniprocessor uxserver; the dedicated mcheck percpu
-# models run alongside.
-server:
-	$(GO) run ./cmd/rasbench -table server
-	$(GO) test -run 'Percpu' ./internal/mcheck/
-
-# Crash-consistent journaling (E24): undo vs redo WAL passage costs on
-# both substrates, torn-crash sweeps, memfs journal replay, and the
-# exhaustive crash-at-every-flush/fence-boundary walks; the dedicated
-# mcheck journal tests run alongside.
-journal:
-	$(GO) run ./cmd/rasbench -table journal
-	$(GO) test -run 'Journal|Pstruct|Memfs' ./internal/mcheck/
-
-# Queue-lock RMR study (E26): every lock variant's remote references per
-# passage across CPU counts and coherence modes, the recoverable-MCS kill
-# section, the qlock kill-edge sweeps, and the mcheck queue-lock models.
-rmr:
-	$(GO) run ./cmd/rasbench -table rmr
-	$(GO) test -run 'Qlock|KillSweep|KillWaiter|CrashRestore' ./internal/qlock/ ./internal/mcheck/
-
-# Crash-restart supervision (E27): the seeded 1000-crash vmach campaign,
-# the uniproc exactly-once server campaign, the forced demotion cycle,
-# and the supervisor-in-the-loop mcheck walks; the resilience package's
-# own sweeps run alongside.
-resilience:
-	$(GO) run ./cmd/rasbench -table resilience
-	$(GO) test -run 'Resilience|Supervise|ServerWorld|VMWorld' ./internal/resilience/ ./internal/mcheck/ ./internal/uxserver/
+# Rewrite every pinned BENCH_*.json from the current code (`rasbench
+# -list` shows which table lands in which file); CI's pin job runs this
+# and fails on any diff.
+pin:
+	$(GO) run ./cmd/rasbench -pin
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -1,48 +1,32 @@
 // Command rasbench regenerates the paper's evaluation tables on the
-// simulated uniprocessor.
+// simulated uniprocessor, plus the extension studies built on them.
 //
 // Usage:
 //
 //	rasbench                     # all tables
+//	rasbench -list               # every table with its title and BENCH file
 //	rasbench -table 1            # just Table 1
 //	rasbench -table 3 -scale 4   # Table 3 with 4x workloads
 //	rasbench -iters 100000       # longer microbenchmark loops
 //	rasbench -table 1 -json -    # machine-readable results on stdout
 //	rasbench -table 2 -trace-out t2.json  # Perfetto trace of the runs
+//	rasbench -pin                # rewrite every pinned BENCH_*.json (make pin)
 //
-// Tables: 1 (microbenchmarks), 2 (thread management), 3 (applications),
-// 4 (eight architectures), i860 (§7 lock bit), lamport (reservation
-// protocols), holdups (§5.3 parthenon-10 analysis), ablation (§4.1 check
-// placement), chaos (seeded fault-injection sweep; failures print a
-// one-line seed reproducer, replayable with -seed/-level), recovery
-// (recoverable mutual exclusion: thread-kill sweeps on both substrates,
-// checkpoint replay, crash restore), persist (NVRAM persistence: volatile
-// crash sweeps with bounded durability loss and exact recovery, plus the
-// exhaustive crash-at-flush-boundary walk), smp (§7 hybrid RAS+spinlock
-// vs pure spinlock vs ll/sc across CPU counts; -cpus picks the counts),
-// server (the per-CPU request plane vs the mutex queue, over a million
-// replayed requests on the SMP guest and the uniprocessor uxserver;
-// -cpus picks both the CPU and shard counts), rmr (queue locks: remote
-// memory references per passage across CPU counts and coherence modes,
-// with the recoverable-MCS kill section; -cpus picks the counts),
-// resilience (crash-restart supervision: the seeded 1000-crash vmach
-// campaign, the uniproc exactly-once server campaign with retrying
-// clients, the forced demotion/re-promotion cycle, and the exhaustive
-// supervisor-in-the-loop model walk; campaign rows print one-line
-// crashplan reproducers replayable with rasvm -demo resilience -plan).
-//
-// `rasbench -list` prints every table with its description and exits.
+// The tables are bench.Tables; `rasbench -list` names them. Seeded sweeps
+// print one-line reproducers, replayable with -seed/-level (or, for the
+// resilience campaigns, rasvm -demo resilience -plan).
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
+	"text/tabwriter"
 
-	"repro/internal/arch"
 	"repro/internal/bench"
 	"repro/internal/obs"
 )
@@ -54,18 +38,27 @@ type benchOpts struct {
 	seed         uint64
 	level        float64
 	timeout      uint64
-	cpus         string // CPU counts for -table smp/server, e.g. "1,2,4"
+	cpus         string // CPU counts for -table smp/server/rmr, e.g. "1,2,4"
 	jsonOut      string // per-table results as JSON ("-" = stdout)
 	traceOut     string // Chrome trace-event JSON of every run ("-" = stdout)
 	metrics      string // event-derived metrics dump ("-" = stdout)
 	list         bool   // print the table catalog and exit
+	pin          bool   // rewrite every pinned BENCH file and exit
 }
 
+// defaults are the flag defaults: the configuration every pinned BENCH
+// file records.
+var defaults = benchOpts{table: "all", iters: 20000, scale: 1}
+
 func main() {
-	var o benchOpts
-	flag.StringVar(&o.table, "table", "all", "which table to run: 1,2,3,4,i860,lamport,holdups,ablation,wbuf,ranges,quantum,workers,chaos,recovery,persist,journal,smp,server,rmr,resilience,all")
-	flag.IntVar(&o.iters, "iters", 20000, "microbenchmark loop iterations")
-	flag.IntVar(&o.scale, "scale", 1, "table 3 workload multiplier")
+	o := defaults
+	var names []string
+	for _, t := range bench.Tables {
+		names = append(names, t.Name)
+	}
+	flag.StringVar(&o.table, "table", o.table, "which table to run: "+strings.Join(names, ",")+",all")
+	flag.IntVar(&o.iters, "iters", o.iters, "microbenchmark loop iterations")
+	flag.IntVar(&o.scale, "scale", o.scale, "table 3 workload multiplier")
 	flag.Uint64Var(&o.seed, "seed", 0, "chaos master seed (0 = default); use with -level to replay a failure")
 	flag.Float64Var(&o.level, "level", 0, "chaos fault intensity in (0,1]; 0 sweeps the default levels")
 	flag.Uint64Var(&o.timeout, "timeout", 0, "cycle budget per run (0 = substrate default); a livelocked guest exits nonzero")
@@ -73,37 +66,49 @@ func main() {
 	flag.StringVar(&o.traceOut, "trace-out", "", "write a Chrome trace-event JSON file of every substrate run (\"-\" = stdout; load in Perfetto)")
 	flag.StringVar(&o.metrics, "metrics", "", "write a plain-text metrics dump derived from the event stream (\"-\" = stdout)")
 	flag.StringVar(&o.cpus, "cpus", "", "comma-separated CPU counts for -table smp (default \"1,2,4\"), -table server (default \"1,2,4,8\"), and -table rmr (default \"1,2,3,4,6,8\")")
-	flag.BoolVar(&o.list, "list", false, "print every table name with its description and exit")
+	flag.BoolVar(&o.list, "list", false, "print every table name with its description and BENCH file, and exit")
+	flag.BoolVar(&o.pin, "pin", false, "rewrite every pinned BENCH_*.json in the current directory from the default flags, and exit")
 	flag.Parse()
 
+	if o.pin && flag.NFlag() > 1 {
+		fmt.Fprintln(os.Stderr, "rasbench: -pin takes no other flag: pinned files record the defaults")
+		os.Exit(2)
+	}
 	if err := runOpts(o); err != nil {
 		fmt.Fprintln(os.Stderr, "rasbench:", err)
 		os.Exit(1)
 	}
 }
 
-// run keeps the historical positional signature used throughout the tests;
-// runOpts is the flag-level entry.
-func run(table string, iters, scale int, seed uint64, level float64, timeout uint64) error {
-	return runOpts(benchOpts{table: table, iters: iters, scale: scale,
-		seed: seed, level: level, timeout: timeout})
+// tableResult is one -json record: the aggregate substrate counters behind
+// one regenerated table, then the table's rows under a key equal to its
+// name (see MarshalJSON).
+type tableResult struct {
+	Name        string `json:"name"`
+	Runs        int    `json:"runs"`
+	Cycles      uint64 `json:"cycles"`
+	Restarts    uint64 `json:"restarts"`
+	Preemptions uint64 `json:"preemptions"`
+	Traps       uint64 `json:"traps"`
+	rows        any
 }
 
-// tableResult is one -json record: the aggregate substrate counters behind
-// one regenerated table.
-type tableResult struct {
-	Name        string                `json:"name"`
-	Runs        int                   `json:"runs"`
-	Cycles      uint64                `json:"cycles"`
-	Restarts    uint64                `json:"restarts"`
-	Preemptions uint64                `json:"preemptions"`
-	Traps       uint64                `json:"traps"`
-	SMP         []bench.SMPRow        `json:"smp,omitempty"`        // row-level detail for -table smp
-	Persist     []bench.PersistRow    `json:"persist,omitempty"`    // row-level detail for -table persist
-	Journal     []bench.JournalRow    `json:"journal,omitempty"`    // row-level detail for -table journal
-	Server      []bench.ServerRow     `json:"server,omitempty"`     // row-level detail for -table server
-	RMR         []bench.RMRRow        `json:"rmr,omitempty"`        // row-level detail for -table rmr
-	Resilience  []bench.ResilienceRow `json:"resilience,omitempty"` // row-level detail for -table resilience
+// MarshalJSON appends the rows to the header fields under the key
+// r.Name, keeping the header's field order.
+func (r tableResult) MarshalJSON() ([]byte, error) {
+	type header tableResult // no MarshalJSON method, so no recursion
+	out, err := json.Marshal(header(r))
+	if err != nil {
+		return nil, err
+	}
+	rows, err := json.Marshal(r.rows)
+	if err != nil {
+		return nil, fmt.Errorf("table %s rows: %w", r.Name, err)
+	}
+	key, _ := json.Marshal(r.Name) // a string always marshals
+	out = append(append(out[:len(out)-1], ','), key...)
+	out = append(append(append(out, ':'), rows...), '}')
+	return out, nil
 }
 
 // parseCPUList turns "-cpus 1,2,4" into []int{1, 2, 4}.
@@ -122,8 +127,51 @@ func parseCPUList(s string) ([]int, error) {
 	return out, nil
 }
 
+// tableOpts converts the flags every table reads, failing on a bad -cpus
+// list before any table runs.
+func (o benchOpts) tableOpts() (bench.Opts, error) {
+	cpus, err := parseCPUList(o.cpus)
+	return bench.Opts{Iters: o.iters, Scale: o.scale, Seed: o.seed,
+		Level: o.level, Timeout: o.timeout, CPUs: cpus}, err
+}
+
+// lookup finds a registered table by name.
+func lookup(name string) (bench.Table, bool) {
+	for _, t := range bench.Tables {
+		if t.Name == name {
+			return t, true
+		}
+	}
+	return bench.Table{}, false
+}
+
 func runOpts(o benchOpts) error {
-	all := o.table == "all"
+	opts, err := o.tableOpts()
+	if err != nil {
+		return err
+	}
+	if o.list {
+		tw := tabwriter.NewWriter(os.Stdout, 0, 8, 1, ' ', 0)
+		for _, t := range bench.Tables {
+			pin := t.Pin
+			if pin == "" {
+				pin = "-"
+			}
+			fmt.Fprintf(tw, "%s\t%s\t%s\n", t.Name, t.Title, pin)
+		}
+		return tw.Flush()
+	}
+	if o.pin {
+		return pinAll(opts)
+	}
+	tables := bench.Tables
+	if o.table != "all" {
+		t, ok := lookup(o.table)
+		if !ok {
+			return fmt.Errorf("unknown table %q (rasbench -list names them)", o.table)
+		}
+		tables = []bench.Table{t}
+	}
 
 	// Observability: one bus receives every substrate run the harness
 	// starts (rebased end-to-end by the bench package), feeding the
@@ -144,284 +192,16 @@ func runOpts(o benchOpts) error {
 		defer bench.SetTraceSink(nil)
 	}
 
-	var results []tableResult
-	var smpRows []bench.SMPRow               // row-level detail captured by the smp step
-	var persistRows []bench.PersistRow       // row-level detail captured by the persist step
-	var journalRows []bench.JournalRow       // row-level detail captured by the journal step
-	var serverRows []bench.ServerRow         // row-level detail captured by the server step
-	var rmrRows []bench.RMRRow               // row-level detail captured by the rmr step
-	var resilienceRows []bench.ResilienceRow // row-level detail captured by the resilience step
-	runTable := func(name, title string, fn func() (string, error)) error {
-		if !all && o.table != name {
-			return nil
-		}
-		fmt.Printf("\n== %s ==\n\n", title)
-		var rs bench.RunStats
-		bench.CollectStats(&rs)
-		out, err := fn()
-		bench.CollectStats(nil)
-		if err != nil {
-			return err
-		}
-		fmt.Print(out)
-		results = append(results, tableResult{Name: name, Runs: rs.Runs,
-			Cycles: rs.Cycles, Restarts: rs.Restarts,
-			Preemptions: rs.Preemptions, Traps: rs.EmulTraps,
-			SMP: smpRows, Persist: persistRows, Journal: journalRows,
-			Server: serverRows, RMR: rmrRows, Resilience: resilienceRows})
-		return nil
+	results, err := runTables(tables, opts, os.Stdout)
+	if err != nil {
+		return err
 	}
-
-	steps := []struct {
-		name, title string
-		fn          func() (string, error)
-	}{
-		{"1", "Table 1: mutual exclusion microbenchmarks, DECstation 5000/200 (simulated)", func() (string, error) {
-			rows, err := bench.Table1(o.iters)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatTable1(rows), nil
-		}},
-		{"2", "Table 2: thread management overhead, emulation vs R.A.S.", func() (string, error) {
-			rows, err := bench.Table2(o.iters / 10)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatTable2(rows), nil
-		}},
-		{"3", "Table 3: application performance", func() (string, error) {
-			s := bench.DefaultScale()
-			s.TextParas *= o.scale
-			s.AFSDirs *= o.scale
-			s.ParthChain *= o.scale
-			s.ProtonKB *= o.scale
-			rows, err := bench.Table3(s)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatTable3(rows), nil
-		}},
-		{"4", "Table 4: hardware vs software Test-And-Set, eight processors", func() (string, error) {
-			rows, err := bench.Table4(o.iters)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatTable4(rows), nil
-		}},
-		{"i860", "i860 hardware lock bit vs software (§7)", func() (string, error) {
-			rows, err := bench.TableI860(o.iters)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatI860(rows), nil
-		}},
-		{"lamport", "Software reservation protocols (Figure 1 vs Figure 2)", func() (string, error) {
-			rows, err := bench.TableLamport(o.iters)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatLamport(rows), nil
-		}},
-		{"holdups", "parthenon-10 lock holdups (§5.3)", func() (string, error) {
-			s := bench.DefaultScale()
-			s.Quantum = 3000
-			rows, err := bench.TableHoldups(s)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatHoldups(rows), nil
-		}},
-		{"ablation", "PC-check placement ablation (§4.1)", func() (string, error) {
-			rows, err := bench.TableAblation(3, 200)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatAblation(rows), nil
-		}},
-		{"wbuf", "Write-buffer sensitivity (§5.1 design remark)", func() (string, error) {
-			rows, err := bench.TableWriteBuffer(o.iters)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatWriteBuffer(rows), nil
-		}},
-		{"ranges", "Registration-table size vs check cost (§3.1 restriction)", func() (string, error) {
-			rows, err := bench.TableRegistrationRanges(3, 200)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatRanges(rows, arch.R3000().PCCheckDesignatedCycles), nil
-		}},
-		{"quantum", "Restart frequency vs scheduling quantum (validating §5.3's optimism)", func() (string, error) {
-			rows, err := bench.TableQuantumSweep(4, 500, nil)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatQuantumSweep(rows), nil
-		}},
-		{"workers", "Server worker pool on a uniprocessor (afs-bench client)", func() (string, error) {
-			rows, err := bench.TableServerWorkers(nil)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatServerWorkers(rows), nil
-		}},
-		{"chaos", "Chaos sweep: seeded fault injection, watchdog, degradation", func() (string, error) {
-			cfg := bench.DefaultChaosConfig()
-			if o.seed != 0 {
-				cfg.Seed = o.seed
-			}
-			if o.level > 0 {
-				cfg.Levels = []float64{o.level}
-			}
-			cfg.MaxCycles = o.timeout
-			rows, err := bench.TableChaos(cfg)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatChaos(rows), nil
-		}},
-		{"recovery", "Recovery sweep: thread kills, orphan repair, checkpoint/restore", func() (string, error) {
-			cfg := bench.DefaultRecoveryConfig()
-			if o.seed != 0 {
-				cfg.Seed = o.seed
-			}
-			cfg.MaxCycles = o.timeout
-			rows, err := bench.TableRecovery(cfg)
-			if err != nil {
-				return "", err
-			}
-			return bench.FormatRecovery(rows), nil
-		}},
-		{"persist", "Persistence sweep: volatile crashes, bounded loss, NVM recovery (E23)", func() (string, error) {
-			cfg := bench.DefaultPersistConfig()
-			if o.seed != 0 {
-				cfg.Seed = o.seed
-			}
-			cfg.MaxCycles = o.timeout
-			rows, err := bench.TablePersist(cfg)
-			if err != nil {
-				return "", err
-			}
-			persistRows = rows
-			return bench.FormatPersist(rows), nil
-		}},
-		{"journal", "Journaling sweep: undo vs redo WAL, torn crashes, replay (E24)", func() (string, error) {
-			cfg := bench.DefaultJournalConfig()
-			if o.seed != 0 {
-				cfg.Seed = o.seed
-			}
-			cfg.MaxCycles = o.timeout
-			rows, err := bench.TableJournal(cfg)
-			if err != nil {
-				return "", err
-			}
-			journalRows = rows
-			return bench.FormatJournal(rows), nil
-		}},
-		{"smp", "SMP sweep: §7 hybrid RAS+spinlock vs pure spinlock vs ll/sc", func() (string, error) {
-			cfg := bench.DefaultSMPConfig()
-			cpuList, err := parseCPUList(o.cpus)
-			if err != nil {
-				return "", err
-			}
-			if cpuList != nil {
-				cfg.CPUList = cpuList
-			}
-			if o.seed != 0 {
-				cfg.Seed = o.seed
-			}
-			cfg.MaxCycles = o.timeout
-			rows, err := bench.TableSMP(cfg)
-			if err != nil {
-				return "", err
-			}
-			smpRows = rows
-			return bench.FormatSMP(rows), nil
-		}},
-		{"server", "Server sweep: per-CPU request plane vs mutex queue, one million requests", func() (string, error) {
-			cfg := bench.DefaultServerConfig()
-			cpuList, err := parseCPUList(o.cpus)
-			if err != nil {
-				return "", err
-			}
-			if cpuList != nil {
-				cfg.CPUList = cpuList
-				cfg.Shards = cpuList
-			}
-			if o.seed != 0 {
-				cfg.Seed = o.seed
-			}
-			cfg.MaxCycles = o.timeout
-			rows, err := bench.TableServer(cfg)
-			if err != nil {
-				return "", err
-			}
-			serverRows = rows
-			return bench.FormatServer(rows), nil
-		}},
-		{"rmr", "RMR sweep: queue locks' remote references per passage vs the spinlock's", func() (string, error) {
-			cfg := bench.DefaultRMRConfig()
-			cpuList, err := parseCPUList(o.cpus)
-			if err != nil {
-				return "", err
-			}
-			if cpuList != nil {
-				cfg.CPUList = cpuList
-			}
-			if o.seed != 0 {
-				cfg.Seed = o.seed
-			}
-			cfg.MaxCycles = o.timeout
-			rows, err := bench.TableRMR(cfg)
-			if err != nil {
-				return "", err
-			}
-			rmrRows = rows
-			return bench.FormatRMR(rows), nil
-		}},
-		{"resilience", "Resilience sweep: crash-restart supervision, exactly-once server, degraded cycle (E27)", func() (string, error) {
-			cfg := bench.DefaultResilienceConfig()
-			if o.seed != 0 {
-				cfg.Seed = o.seed
-			}
-			cfg.MaxCycles = o.timeout
-			rows, err := bench.TableResilience(cfg)
-			if err != nil {
-				return "", err
-			}
-			resilienceRows = rows
-			return bench.FormatResilience(rows), nil
-		}},
-	}
-
-	if o.list {
-		for _, s := range steps {
-			fmt.Printf("%-10s %s\n", s.name, s.title)
-		}
-		return nil
-	}
-
-	known := all
-	for _, s := range steps {
-		if s.name == o.table {
-			known = true
-		}
-		if err := runTable(s.name, s.title, s.fn); err != nil {
-			return err
-		}
-	}
-	if !known {
-		return fmt.Errorf("unknown table %q", o.table)
-	}
-
 	if o.jsonOut != "" {
-		data, err := json.MarshalIndent(results, "", " ")
+		data, err := marshalResults(results)
 		if err != nil {
 			return err
 		}
-		if err := writeOut(o.jsonOut, append(data, '\n')); err != nil {
+		if err := writeOut(o.jsonOut, data); err != nil {
 			return err
 		}
 	}
@@ -438,6 +218,69 @@ func runOpts(o benchOpts) error {
 		if err := writeOut(o.metrics, []byte(pm.Dump())); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// runTables runs each table in turn, printing its title and text to w,
+// and returns one record per table with that table's counters and rows.
+func runTables(tables []bench.Table, opts bench.Opts, w io.Writer) ([]tableResult, error) {
+	var results []tableResult
+	for _, t := range tables {
+		fmt.Fprintf(w, "\n== %s ==\n\n", t.Title)
+		var rs bench.RunStats
+		bench.CollectStats(&rs)
+		rows, text, err := t.Run(opts)
+		bench.CollectStats(nil)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprint(w, text)
+		results = append(results, tableResult{Name: t.Name, Runs: rs.Runs,
+			Cycles: rs.Cycles, Restarts: rs.Restarts,
+			Preemptions: rs.Preemptions, Traps: rs.EmulTraps, rows: rows})
+	}
+	return results, nil
+}
+
+// marshalResults renders records as the -json output and the BENCH files.
+func marshalResults(results []tableResult) ([]byte, error) {
+	data, err := json.MarshalIndent(results, "", " ")
+	return append(data, '\n'), err
+}
+
+// pinned regenerates the contents of one pinned BENCH file: the records
+// of every table whose Pin is file, in registry order.
+func pinned(file string, opts bench.Opts) ([]byte, error) {
+	var group []bench.Table
+	for _, t := range bench.Tables {
+		if t.Pin == file {
+			group = append(group, t)
+		}
+	}
+	results, err := runTables(group, opts, io.Discard)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", file, err)
+	}
+	return marshalResults(results)
+}
+
+// pinAll rewrites every pinned BENCH file in the current directory.
+func pinAll(opts bench.Opts) error {
+	done := map[string]bool{}
+	for _, t := range bench.Tables {
+		if t.Pin == "" || done[t.Pin] {
+			continue
+		}
+		done[t.Pin] = true
+		data, err := pinned(t.Pin, opts)
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(t.Pin, data, 0o644); err != nil {
+			return err
+		}
+		fmt.Println("wrote", t.Pin)
 	}
 	return nil
 }

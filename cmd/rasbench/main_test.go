@@ -5,39 +5,39 @@ import "testing"
 func TestRunEachTable(t *testing.T) {
 	// Small iteration counts: this verifies wiring, not statistics.
 	for _, table := range []string{"1", "2", "4", "i860", "lamport", "ablation", "wbuf", "ranges", "quantum", "workers"} {
-		if err := run(table, 500, 1, 0, 0, 0); err != nil {
+		if err := runOpts(benchOpts{table: table, iters: 500, scale: 1}); err != nil {
 			t.Errorf("table %s: %v", table, err)
 		}
 	}
 }
 
 func TestRunTable3Small(t *testing.T) {
-	if err := run("3", 500, 1, 0, 0, 0); err != nil {
+	if err := runOpts(benchOpts{table: "3", iters: 500, scale: 1}); err != nil {
 		t.Errorf("table 3: %v", err)
 	}
 }
 
 func TestRunHoldups(t *testing.T) {
-	if err := run("holdups", 500, 1, 0, 0, 0); err != nil {
+	if err := runOpts(benchOpts{table: "holdups", iters: 500, scale: 1}); err != nil {
 		t.Errorf("holdups: %v", err)
 	}
 }
 
 func TestRunChaos(t *testing.T) {
-	if err := run("chaos", 500, 1, 0, 0, 0); err != nil {
+	if err := runOpts(benchOpts{table: "chaos", iters: 500, scale: 1}); err != nil {
 		t.Errorf("chaos: %v", err)
 	}
 }
 
 func TestRunChaosSeedReplay(t *testing.T) {
 	// The -seed/-level replay path used by one-line reproducers.
-	if err := run("chaos", 500, 1, 0xBEEF, 1, 0); err != nil {
+	if err := runOpts(benchOpts{table: "chaos", iters: 500, scale: 1, seed: 0xBEEF, level: 1}); err != nil {
 		t.Errorf("chaos replay: %v", err)
 	}
 }
 
 func TestRunRecovery(t *testing.T) {
-	if err := run("recovery", 500, 1, 0, 0, 0); err != nil {
+	if err := runOpts(benchOpts{table: "recovery", iters: 500, scale: 1}); err != nil {
 		t.Errorf("recovery: %v", err)
 	}
 }
@@ -49,19 +49,22 @@ func TestRunSMP(t *testing.T) {
 }
 
 func TestRunSMPBadCPUList(t *testing.T) {
-	if err := runOpts(benchOpts{table: "smp", cpus: "1,zero"}); err == nil {
-		t.Error("bad -cpus list accepted")
+	// The list is parsed before any table runs, so "all" fails at once.
+	for _, table := range []string{"smp", "all"} {
+		if err := runOpts(benchOpts{table: table, cpus: "1,zero"}); err == nil {
+			t.Errorf("table %s: bad -cpus list accepted", table)
+		}
 	}
 }
 
 func TestRunResilience(t *testing.T) {
-	if err := run("resilience", 0, 1, 0, 0, 0); err != nil {
+	if err := runOpts(benchOpts{table: "resilience", scale: 1}); err != nil {
 		t.Errorf("table resilience: %v", err)
 	}
 }
 
 func TestRunUnknownTable(t *testing.T) {
-	if err := run("nonesuch", 100, 1, 0, 0, 0); err == nil {
+	if err := runOpts(benchOpts{table: "nonesuch", iters: 100, scale: 1}); err == nil {
 		t.Error("unknown table accepted")
 	}
 }

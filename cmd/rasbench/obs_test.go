@@ -2,11 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/obs"
 )
 
@@ -26,6 +28,15 @@ func TestJSONResultsPerTable(t *testing.T) {
 	}
 	if len(results) != 1 || results[0].Name != "2" {
 		t.Fatalf("results = %+v, want one record for table 2", results)
+	}
+	// The rows sit under a key equal to the table's name.
+	var records []map[string]json.RawMessage
+	if err := json.Unmarshal(data, &records); err != nil {
+		t.Fatal(err)
+	}
+	var rows []map[string]any
+	if err := json.Unmarshal(records[0]["2"], &rows); err != nil || len(rows) == 0 {
+		t.Errorf("rows under key \"2\" = %s (%v), want a nonempty array", records[0]["2"], err)
 	}
 	r := results[0]
 	if r.Runs == 0 || r.Cycles == 0 {
@@ -76,5 +87,42 @@ func TestJSONToStdoutPath(t *testing.T) {
 	// "-" routes to stdout; just verify the path does not error.
 	if err := runOpts(benchOpts{table: "1", iters: 200, scale: 1, jsonOut: "-"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestJSONRecordsCarryOwnRows(t *testing.T) {
+	// Two row-carrying tables through the path -table all takes: each
+	// record must hold its own rows and no earlier table's.
+	var tables []bench.Table
+	for _, name := range []string{"persist", "journal"} {
+		tab, ok := lookup(name)
+		if !ok {
+			t.Fatalf("table %s not registered", name)
+		}
+		tables = append(tables, tab)
+	}
+	results, err := runTables(tables, bench.Opts{}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := marshalResults(results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var records []map[string]json.RawMessage
+	if err := json.Unmarshal(data, &records); err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 2 {
+		t.Fatalf("%d records, want 2", len(records))
+	}
+	if _, ok := records[0]["persist"]; !ok {
+		t.Error("persist record has no persist rows")
+	}
+	if _, ok := records[1]["journal"]; !ok {
+		t.Error("journal record has no journal rows")
+	}
+	if _, ok := records[1]["persist"]; ok {
+		t.Error("journal record repeats the persist rows")
 	}
 }

@@ -26,8 +26,8 @@ type ChaosConfig struct {
 	MaxCycles uint64
 }
 
-// DefaultChaosConfig returns the configuration `rasbench -table chaos` and
-// `make chaos` run.
+// DefaultChaosConfig returns the configuration `rasbench -table chaos`
+// runs.
 func DefaultChaosConfig() ChaosConfig {
 	return ChaosConfig{
 		Seed:    1,

@@ -32,7 +32,7 @@ type JournalConfig struct {
 }
 
 // DefaultJournalConfig returns the configuration `rasbench -table journal`
-// and `make journal` run.
+// runs and `make pin` records in BENCH_journal.json.
 func DefaultJournalConfig() JournalConfig {
 	return JournalConfig{Seed: 1, Crashes: 24, Target: 8, Ops: 12}
 }

@@ -28,7 +28,7 @@ type PersistConfig struct {
 }
 
 // DefaultPersistConfig returns the configuration `rasbench -table persist`
-// and `make persist` run.
+// runs and `make pin` records in BENCH_persist.json.
 func DefaultPersistConfig() PersistConfig {
 	return PersistConfig{Seed: 1, Crashes: 24, Workers: 2, Iters: 6}
 }

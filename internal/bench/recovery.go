@@ -30,7 +30,7 @@ type RecoveryConfig struct {
 }
 
 // DefaultRecoveryConfig returns the configuration `rasbench -table
-// recovery` and `make recovery` run.
+// recovery` runs.
 func DefaultRecoveryConfig() RecoveryConfig {
 	return RecoveryConfig{Seed: 1, Schedules: 256, Workers: 3, Iters: 30, Crashes: 8}
 }

@@ -25,8 +25,8 @@ type ResilienceConfig struct {
 	MaxCycles                        uint64
 }
 
-// DefaultResilienceConfig returns the configuration
-// `rasbench -table resilience` and `make resilience` run.
+// DefaultResilienceConfig returns the configuration `rasbench -table
+// resilience` runs and `make pin` records in BENCH_resilience.json.
 func DefaultResilienceConfig() ResilienceConfig {
 	return ResilienceConfig{Seed: 1, Crashes: 1000, Workers: 2, Iters: 700,
 		Clients: 3, Requests: 40, ServerCrashes: 120}

@@ -29,8 +29,8 @@ type RMRConfig struct {
 	MaxCycles uint64
 }
 
-// DefaultRMRConfig returns the configuration `rasbench -table rmr` and
-// `make rmr` run.
+// DefaultRMRConfig returns the configuration `rasbench -table rmr` runs
+// and `make pin` records in BENCH_rmr.json.
 func DefaultRMRConfig() RMRConfig {
 	return RMRConfig{
 		CPUList: []int{1, 2, 3, 4, 6, 8},

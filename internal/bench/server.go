@@ -37,7 +37,8 @@ type ServerConfig struct {
 }
 
 // DefaultServerConfig returns the configuration `rasbench -table server`
-// and `make server` run: ≥1e6 requests total across the sweep.
+// runs and `make pin` records in BENCH_server.json: ≥1e6 requests total
+// across the sweep.
 func DefaultServerConfig() ServerConfig {
 	return ServerConfig{
 		CPUList:    []int{1, 2, 4, 8},

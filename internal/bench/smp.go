@@ -21,8 +21,8 @@ type SMPConfig struct {
 	MaxCycles uint64
 }
 
-// DefaultSMPConfig returns the configuration `rasbench -table smp` and
-// `make smp` run.
+// DefaultSMPConfig returns the configuration `rasbench -table smp` runs
+// and `make pin` records in BENCH_smp.json.
 func DefaultSMPConfig() SMPConfig {
 	return SMPConfig{
 		CPUList: []int{1, 2, 4},

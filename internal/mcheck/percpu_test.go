@@ -2,8 +2,8 @@ package mcheck
 
 import "testing"
 
-// The per-CPU data-plane models (PR 8). `make server` runs exactly these
-// (go test -run 'Percpu'): the safe structures verified exhaustively at a
+// The per-CPU data-plane models, which `go test -run Percpu
+// ./internal/mcheck/` runs: the safe structures verified exhaustively at a
 // stated bound, each planted defect caught, minimized, and replayed cold.
 
 // The runtime-layer MPSC queue: any two forced preemptions at memop
