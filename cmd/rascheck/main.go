@@ -12,6 +12,7 @@
 //	rascheck -suite [-out dir]                 # the canned verification suite
 //	rascheck -model counter -params mech=none  # explore one model
 //	rascheck -replay cex.sched [-trace-out t.json]
+//	rascheck -suite -cpuprofile cpu.out         # any run, profiled
 //
 // Exit status: 0 when the outcome matches expectations (suite entries
 // carry their own expectation; a plain exploration expects a pass), 1 on
@@ -26,6 +27,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -54,6 +56,7 @@ type config struct {
 	outDir   string
 	jsonOut  string
 	traceOut string
+	cpuProf  string
 }
 
 func run(args []string, out, errw io.Writer) int {
@@ -75,8 +78,27 @@ func run(args []string, out, errw io.Writer) int {
 	fs.StringVar(&c.outDir, "out", "mcheck-out", "directory for .sched and JSON artifacts")
 	fs.StringVar(&c.jsonOut, "json", "", "write the report as JSON to this file")
 	fs.StringVar(&c.traceOut, "trace-out", "", "replay only: write a Chrome trace of the run")
+	fs.StringVar(&c.cpuProf, "cpuprofile", "", "write a Go CPU profile of the run to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	if c.cpuProf != "" {
+		f, err := os.Create(c.cpuProf)
+		if err != nil {
+			fmt.Fprintln(errw, "rascheck:", err)
+			return 2
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			fmt.Fprintln(errw, "rascheck:", err)
+			return 2
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(errw, "rascheck:", err)
+			}
+		}()
 	}
 	switch {
 	case c.list:
@@ -117,15 +139,15 @@ func parseParams(s string) (map[string]string, error) {
 	return over, nil
 }
 
-// writeArtifacts saves the counterexample .sched (and optional JSON
-// report) and returns the .sched path.
-func writeArtifacts(c *config, rep *mcheck.Report) (string, error) {
+// writeArtifacts saves the counterexample as <name>.sched (and the
+// optional JSON report) and returns the .sched path.
+func writeArtifacts(c *config, rep *mcheck.Report, name string) (string, error) {
 	var schedPath string
 	if rep.Counterexample != nil {
 		if err := os.MkdirAll(c.outDir, 0o755); err != nil {
 			return "", err
 		}
-		schedPath = filepath.Join(c.outDir, rep.ModelName+".sched")
+		schedPath = filepath.Join(c.outDir, name+".sched")
 		s := rep.Counterexample.Schedule
 		s.Note = fmt.Sprintf("%v", rep.Counterexample.Violations[0])
 		if err := s.WriteFile(schedPath); err != nil {
@@ -179,7 +201,7 @@ func explore(c *config, out, errw io.Writer) int {
 		return 2
 	}
 	fmt.Fprintln(out, rep)
-	schedPath, err := writeArtifacts(c, rep)
+	schedPath, err := writeArtifacts(c, rep, rep.ModelName)
 	if err != nil {
 		fmt.Fprintln(errw, "rascheck:", err)
 		return 2
@@ -234,7 +256,7 @@ func runSuite(c *config, out, errw io.Writer) int {
 	failures := 0
 	tallies := map[string]*suiteTally{}
 	var order []string
-	for _, ent := range mcheck.Suite() {
+	for i, ent := range mcheck.Suite() {
 		start := time.Now()
 		res := mcheck.RunEntry(ent, mcheck.Options{})
 		tl := tallies[ent.Model]
@@ -270,33 +292,36 @@ func runSuite(c *config, out, errw io.Writer) int {
 				res.ReproCommand(), ent.Expect)
 			continue
 		}
-		// Save every counterexample the suite produced, expected or not.
+		// Save every counterexample the suite produced, expected or not,
+		// one file per entry: several entries check the same model.
 		if res.Report != nil && res.Report.Counterexample != nil {
 			cc := *c
 			cc.jsonOut = ""
-			if path, err := writeArtifacts(&cc, res.Report); err == nil && path != "" {
+			name := fmt.Sprintf("%02d-%s", i+1, ent.Model)
+			if path, err := writeArtifacts(&cc, res.Report, name); err == nil && path != "" {
 				fmt.Fprintf(out, "     counterexample: %s\n", path)
 			}
 		}
 	}
 	// Per-model summary: how much schedule space each model's entries
 	// cover and what it costs, so suite growth stays visible in CI logs.
-	fmt.Fprintf(out, "\n%-16s %7s %10s %8s %8s %10s %10s\n",
-		"model", "entries", "schedules", "states", "pruned", "violations", "wall")
+	fmt.Fprintf(out, "\n%-16s %7s %10s %8s %8s %10s %10s %9s\n",
+		"model", "entries", "schedules", "states", "pruned", "violations", "wall", "sched/s")
 	var totEnt, totSched, totPruned int
 	var totWall time.Duration
 	for _, name := range order {
 		tl := tallies[name]
-		fmt.Fprintf(out, "%-16s %7d %10d %8d %8d %10d %10s\n",
+		fmt.Fprintf(out, "%-16s %7d %10d %8d %8d %10d %10s %9.0f\n",
 			name, tl.entries, tl.schedules, tl.states, tl.pruned, tl.violations,
-			tl.wall.Round(time.Millisecond))
+			tl.wall.Round(time.Millisecond), perSecond(tl.schedules, tl.wall))
 		totEnt += tl.entries
 		totSched += tl.schedules
 		totPruned += tl.pruned
 		totWall += tl.wall
 	}
-	fmt.Fprintf(out, "%-16s %7d %10d %8s %8d %10s %10s\n",
-		"total", totEnt, totSched, "", totPruned, "", totWall.Round(time.Millisecond))
+	fmt.Fprintf(out, "%-16s %7d %10d %8s %8d %10s %10s %9.0f\n",
+		"total", totEnt, totSched, "", totPruned, "", totWall.Round(time.Millisecond),
+		perSecond(totSched, totWall))
 
 	if failures > 0 {
 		fmt.Fprintf(errw, "rascheck: %d suite entries failed\n", failures)
@@ -304,6 +329,14 @@ func runSuite(c *config, out, errw io.Writer) int {
 	}
 	fmt.Fprintln(out, "suite: all checks matched expectations")
 	return 0
+}
+
+// perSecond is a throughput, 0 for a run too short to time.
+func perSecond(n int, d time.Duration) float64 {
+	if d <= 0 {
+		return 0
+	}
+	return float64(n) / d.Seconds()
 }
 
 func replay(c *config, out, errw io.Writer) int {

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/mcheck"
 )
 
 func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -23,6 +27,16 @@ func TestList(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("-list missing %q:\n%s", want, out)
 		}
+	}
+}
+
+func TestCPUProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.out")
+	if code, out, errw := runCLI(t, "-model", "counter", "-max-decisions", "1", "-cpuprofile", path); code != 0 {
+		t.Fatalf("exit %d\n%s%s", code, out, errw)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+		t.Errorf("no CPU profile written: %v", err)
 	}
 }
 
@@ -99,9 +113,17 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
+// suiteGolden pins every suite outcome: each entry's report line and,
+// when it found a violation, the shrunk .sched it wrote. Regenerate with
+// go test ./cmd/rascheck -run TestSuite -update.
+const suiteGolden = "../../internal/mcheck/testdata/suite.golden"
+
+var update = flag.Bool("update", false, "rewrite "+suiteGolden+" from this run")
+
 // The full canned suite matches every expectation. This is the
 // acceptance run: Figure-3/5 exhaustively clean, the hybrid lock clean
-// at 2 CPUs, and the planted defects all caught.
+// at 2 CPUs, and the planted defects all caught — each with exactly the
+// schedule counts and counterexample the golden file records.
 func TestSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite re-runs the slow smp walks; covered by internal/mcheck in short mode")
@@ -113,7 +135,72 @@ func TestSuite(t *testing.T) {
 	if !strings.Contains(out, "suite: all checks matched expectations") {
 		t.Errorf("no final verdict:\n%s", out)
 	}
-	if n := strings.Count(out, "ok  "); n < 12 {
-		t.Errorf("only %d suite entries ran", n)
+	ok := 0
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "ok  ") {
+			ok++
+		}
 	}
+	if want := len(mcheck.Suite()); ok != want {
+		t.Errorf("%d suite entries ok, want %d", ok, want)
+	}
+	got := suiteOutcomes(t, out)
+	if *update {
+		if err := os.WriteFile(suiteGolden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(suiteGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("suite outcome differs from %s at line %d:\n got: %s\nwant: %s", suiteGolden, i+1, g, w)
+			}
+		}
+	}
+}
+
+// suiteOutcomes renders -suite's output in the golden layout: per entry,
+// its repro command, its report line, and the bytes of the .sched it
+// saved, if any.
+func suiteOutcomes(t *testing.T, out string) string {
+	t.Helper()
+	ents := mcheck.Suite()
+	var b strings.Builder
+	n := 0
+	for _, line := range strings.Split(out, "\n") {
+		body, ok := strings.CutPrefix(line, "     ")
+		if !ok {
+			continue
+		}
+		if path, ok := strings.CutPrefix(body, "counterexample: "); ok {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Write(data)
+			continue
+		}
+		if n == len(ents) {
+			t.Fatalf("more report lines than the %d suite entries:\n%s", len(ents), out)
+		}
+		fmt.Fprintf(&b, "== %s\n%s\n", mcheck.SuiteResult{Entry: ents[n]}.ReproCommand(), body)
+		n++
+	}
+	if n != len(ents) {
+		t.Fatalf("%d report lines for %d suite entries:\n%s", n, len(ents), out)
+	}
+	return b.String()
 }

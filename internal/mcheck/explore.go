@@ -106,35 +106,100 @@ func (e *Explorer) found(rep *Report, ds []Decision, vio []Violation) {
 
 // Exhaustive walks every schedule of up to MaxDecisions forced decisions
 // of the model's primary action, each placed at any event ordinal up to
-// the horizon, depth-first. On pausable models each prefix pauses right
-// after its last decision and is pruned if its normalized state hash has
-// been seen with at least as much remaining decision budget — two
-// prefixes parking the substrate in the same state have the same
-// futures, so the larger remaining budget subsumes the smaller.
+// the horizon, depth-first, children in ascending ordinal order. On
+// pausable models each prefix pauses right after its last decision and is
+// pruned if its normalized state hash has been seen with at least as much
+// remaining decision budget — two prefixes parking the substrate in the
+// same state have the same futures, so the larger remaining budget
+// subsumes the smaller.
+//
+// A pausable model's schedules are never replayed from Model.New. Before
+// a prefix that survived pruning runs to its end, a decision-free fork of
+// it is parked as its cursor. Its child with a decision at ordinal `at`
+// is built by advancing the cursor to at-1, forking it with the decision,
+// and running the fork to `at` — the same state a fresh instance reaches
+// by replaying the child's decisions, since every substrate is
+// deterministic and the cursor follows the prefix's own run until the
+// decision fires. A pruned child thus costs one cursor step, one fork and
+// one hash. The visit order and the prune rule are the replay walk's, so
+// Schedules, States and Pruned are too. Models that cannot pause build
+// every schedule with Model.New and run it to its end, without pruning.
 //
 // The walk stops at the first violation, which is then shrunk. A nil
 // counterexample in the report means the bounded space is clean.
 func (e *Explorer) Exhaustive() (*Report, error) {
 	e.defaults()
 	rep := e.newReport("exhaustive")
-	type seenInfo struct{ remaining int }
-	seen := map[[32]byte]seenInfo{}
-	// stack of schedule prefixes; each entry's decisions are sorted.
-	stack := [][]Decision{nil}
-	for len(stack) > 0 {
-		ds := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	seen := map[[32]byte]int{} // state hash -> most remaining budget seen
+	pausable := e.Model.Pausable()
+	// frame is one expanded schedule: its decisions, the ordinals next..hi
+	// still to place one more decision at, and on pausable models the
+	// cursor, parked at ordinal next-1.
+	type frame struct {
+		ds       []Decision
+		cursor   Instance
+		next, hi uint64
+	}
+	var stack []frame
+	// finish runs a schedule that survived pruning to its end and, when
+	// it is clean with budget left, pushes its frame.
+	finish := func(ds []Decision, in Instance) []Violation {
+		f := frame{ds: ds, next: 1}
+		if len(ds) > 0 {
+			f.next = ds[len(ds)-1].At + 1
+		}
+		expand := len(ds) < e.MaxDecisions
+		if expand && pausable {
+			f.cursor = in.Fork(Decision{})
+		}
+		in.RunToEnd()
+		if vio := in.Violations(); len(vio) > 0 || !expand {
+			return vio
+		}
+		f.hi = in.Cursor()
+		if e.Horizon > 0 && e.Horizon < f.hi {
+			f.hi = e.Horizon
+		}
+		stack = append(stack, f)
+		return nil
+	}
+	// admit counts one more schedule, unless MaxSchedules is spent.
+	admit := func() bool {
 		if e.MaxSchedules > 0 && rep.Schedules >= e.MaxSchedules {
 			rep.Truncated = true
-			break
+			return false
 		}
 		rep.Schedules++
-		in, err := e.Model.New(ds, e.Opt)
-		if err != nil {
-			return nil, err
+		return true
+	}
+
+	admit()
+	root, err := e.Model.New(nil, e.Opt)
+	if err != nil {
+		return nil, err
+	}
+	if vio := finish(nil, root); len(vio) > 0 {
+		e.found(rep, nil, vio)
+		return rep, nil
+	}
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		if f.next > f.hi {
+			stack = stack[:len(stack)-1]
+			continue
 		}
-		if len(ds) > 0 && e.Model.Pausable() {
-			in.RunTo(ds[len(ds)-1].At)
+		at := f.next
+		f.next++
+		if !admit() {
+			break
+		}
+		d := Decision{At: at, Act: e.Model.Primary()}
+		ds := withDecision(f.ds, d)
+		var in Instance
+		if pausable {
+			f.cursor.RunTo(at - 1)
+			in = f.cursor.Fork(d)
+			in.RunTo(at)
 			if vio := in.Violations(); len(vio) > 0 {
 				rep.States = len(seen)
 				e.found(rep, ds, vio)
@@ -142,36 +207,19 @@ func (e *Explorer) Exhaustive() (*Report, error) {
 			}
 			if h, ok := in.StateHash(); ok {
 				remaining := e.MaxDecisions - len(ds)
-				if info, dup := seen[h]; dup && info.remaining >= remaining {
+				if r, dup := seen[h]; dup && r >= remaining {
 					rep.Pruned++
 					continue
 				}
-				seen[h] = seenInfo{remaining: remaining}
+				seen[h] = remaining
 			}
+		} else if in, err = e.Model.New(ds, e.Opt); err != nil {
+			return nil, err
 		}
-		in.RunToEnd()
-		if vio := in.Violations(); len(vio) > 0 {
+		if vio := finish(ds, in); len(vio) > 0 {
 			rep.States = len(seen)
 			e.found(rep, ds, vio)
 			return rep, nil
-		}
-		if len(ds) >= e.MaxDecisions {
-			continue
-		}
-		var base uint64
-		if len(ds) > 0 {
-			base = ds[len(ds)-1].At
-		}
-		hi := in.Cursor()
-		if e.Horizon > 0 && e.Horizon < hi {
-			hi = e.Horizon
-		}
-		// Push descending so the DFS pops ordinals in ascending order.
-		for at := hi; at > base; at-- {
-			ext := make([]Decision, len(ds)+1)
-			copy(ext, ds)
-			ext[len(ds)] = Decision{At: at, Act: e.Model.Primary()}
-			stack = append(stack, ext)
 		}
 	}
 	rep.States = len(seen)

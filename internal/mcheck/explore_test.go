@@ -226,3 +226,130 @@ func TestTruncation(t *testing.T) {
 		t.Errorf("cap of 5 did not truncate: %v", rep)
 	}
 }
+
+// replayExhaustive is the exhaustive walk as it was before forking: every
+// schedule is rebuilt with Model.New and replayed from ordinal 0, paused
+// after its last decision to be hashed, and run to its end unless pruned.
+// It is the oracle the fork walk is checked against.
+func replayExhaustive(e *Explorer) (*Report, error) {
+	e.defaults()
+	rep := e.newReport("exhaustive")
+	seen := map[[32]byte]int{}
+	stack := [][]Decision{nil}
+	for len(stack) > 0 {
+		ds := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if e.MaxSchedules > 0 && rep.Schedules >= e.MaxSchedules {
+			rep.Truncated = true
+			break
+		}
+		rep.Schedules++
+		in, err := e.Model.New(ds, e.Opt)
+		if err != nil {
+			return nil, err
+		}
+		if len(ds) > 0 && e.Model.Pausable() {
+			in.RunTo(ds[len(ds)-1].At)
+			if vio := in.Violations(); len(vio) > 0 {
+				rep.States = len(seen)
+				e.found(rep, ds, vio)
+				return rep, nil
+			}
+			if h, ok := in.StateHash(); ok {
+				remaining := e.MaxDecisions - len(ds)
+				if r, dup := seen[h]; dup && r >= remaining {
+					rep.Pruned++
+					continue
+				}
+				seen[h] = remaining
+			}
+		}
+		in.RunToEnd()
+		if vio := in.Violations(); len(vio) > 0 {
+			rep.States = len(seen)
+			e.found(rep, ds, vio)
+			return rep, nil
+		}
+		if len(ds) >= e.MaxDecisions {
+			continue
+		}
+		var base uint64
+		if len(ds) > 0 {
+			base = ds[len(ds)-1].At
+		}
+		hi := in.Cursor()
+		if e.Horizon > 0 && e.Horizon < hi {
+			hi = e.Horizon
+		}
+		for at := hi; at > base; at-- {
+			stack = append(stack, append(ds[:len(ds):len(ds)], Decision{At: at, Act: e.Model.Primary()}))
+		}
+	}
+	rep.States = len(seen)
+	return rep, nil
+}
+
+// The fork walk and the replay oracle agree on every pausable model —
+// at its defaults and at every parameter set the suite checks, planted
+// defects included — down to the counts, the truncation and the shrunk
+// counterexample. The caps and horizons cut each walk short in different
+// places, which the suite itself never does.
+func TestForkWalkMatchesReplay(t *testing.T) {
+	type params map[string]string
+	cases := map[string]params{}
+	add := func(name string, over params) {
+		m, err := BuildModel(name, over)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Pausable() {
+			cases[name+"["+paramString(m.Params())+"]"] = over
+		}
+	}
+	for _, name := range Models() {
+		add(name, nil)
+	}
+	for _, ent := range Suite() {
+		add(ent.Model, ent.Over)
+	}
+	bounds := []struct {
+		maxSchedules int
+		horizon      uint64
+	}{{40, 12}, {250, 90}}
+	for key, over := range cases {
+		name, _, _ := strings.Cut(key, "[")
+		for k := 1; k <= 2; k++ {
+			for _, b := range bounds {
+				explorer := func() *Explorer {
+					return &Explorer{Model: build(t, name, over), MaxDecisions: k,
+						MaxSchedules: b.maxSchedules, Horizon: b.horizon}
+				}
+				got, err := explorer().Exhaustive()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := replayExhaustive(explorer())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g, w := reportOutcome(got), reportOutcome(want); g != w {
+					t.Errorf("%s k=%d cap=%d horizon=%d:\n fork:   %s\n replay: %s",
+						key, k, b.maxSchedules, b.horizon, g, w)
+				}
+			}
+		}
+	}
+}
+
+// reportOutcome renders everything a walk decides: its counts, whether it
+// was cut short, and the shrunk counterexample with its violations.
+func reportOutcome(r *Report) string {
+	s := r.String()
+	if cex := r.Counterexample; cex != nil {
+		s += " " + string(cex.Schedule.Format())
+		for _, v := range cex.Violations {
+			s += "; " + v.String()
+		}
+	}
+	return s
+}

@@ -63,11 +63,14 @@ func hashSMP(s *smp.System, cur int, turn uint64) [32]byte {
 	// The coherence directory only modulates cycle costs, never values
 	// or control flow, and cycles are themselves normalized away.
 	snap.Lines = nil
-	enc := snap.Encode()
-	extra := []byte{
+	h := sha256.New()
+	h.Write(snap.Encode())
+	h.Write([]byte{
 		byte(cur), byte(cur >> 8),
 		byte(turn), byte(turn >> 8), byte(turn >> 16), byte(turn >> 24),
 		byte(turn >> 32), byte(turn >> 40), byte(turn >> 48), byte(turn >> 56),
-	}
-	return sha256.Sum256(append(enc, extra...))
+	})
+	var sum [32]byte
+	h.Sum(sum[:0])
+	return sum
 }

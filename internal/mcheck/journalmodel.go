@@ -104,19 +104,32 @@ func journalModel(p map[string]string) (Model, error) {
 	return m, nil
 }
 
-// boot starts a kernel over the shared (surviving) memory. Only the
-// first boot loads the image: recovery must read what the crash left.
-func (in *journalInstance) boot() {
-	k := kernel.New(kernel.Config{
+// config is every boot's kernel, as in the persist model.
+func (in *journalInstance) config() kernel.Config {
+	return kernel.Config{
 		Strategy:  &kernel.Designated{},
 		CheckAt:   kernel.CheckAtResume,
 		Quantum:   modelQuantum,
 		MaxCycles: modelBudget,
 		Memory:    in.mem,
-	})
-	if in.opt.Tracer != nil {
-		k.Tracer = in.opt.Tracer
 	}
+}
+
+// Fork copies the paused kernel onto a memory of the fork's own and
+// carries the cursor and boot bookkeeping across.
+func (in *journalInstance) Fork(d Decision) Instance {
+	c := *in
+	c.ds = withDecision(in.ds, d)
+	c.vio = in.vio.clone()
+	c.mem = vmach.NewMemory()
+	c.k = forkKernel(in.k, c.config(), in.opt)
+	return &c
+}
+
+// boot starts a kernel over the shared (surviving) memory. Only the
+// first boot loads the image: recovery must read what the crash left.
+func (in *journalInstance) boot() {
+	k := newKernel(in.config(), in.opt)
 	in.k = k
 	if in.boots == 0 {
 		k.Load(in.prog)

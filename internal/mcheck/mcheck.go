@@ -20,6 +20,7 @@ package mcheck
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/chaos"
 	"repro/internal/obs"
@@ -189,6 +190,21 @@ func (v *violations) add(kind, format string, args ...any) {
 	}
 }
 
+// clone copies the record for a forked instance.
+func (v *violations) clone() *violations {
+	return &violations{list: slices.Clone(v.list)}
+}
+
+// withDecision is a forked instance's decision list: ds plus d, in a
+// fresh slice because sibling forks share ds. The zero Decision forces
+// nothing and leaves ds as it is.
+func withDecision(ds []Decision, d Decision) []Decision {
+	if d == (Decision{}) {
+		return ds
+	}
+	return append(ds[:len(ds):len(ds)], d)
+}
+
 // Options is harness wiring threaded into every instance a model builds.
 type Options struct {
 	// Tracer, when non-nil, receives the substrate's event stream —
@@ -197,12 +213,24 @@ type Options struct {
 	Tracer obs.Sink
 }
 
-// Instance is one run of a model under one schedule.
+// Instance is one run of a model under one schedule. On a pausable model
+// the run can stop at any ordinal (RunTo), be hashed there (StateHash),
+// and be forked there (Fork); the exhaustive explorer expands every
+// schedule from a parked copy of its prefix instead of replaying the
+// prefix from Model.New.
 type Instance interface {
 	// RunTo advances until the decision ordinal `at` has fired (cursor
 	// == at) or the run ended, whichever is first. Only meaningful on
 	// pausable models.
 	RunTo(at uint64) (done bool)
+	// Fork returns an independent copy of the paused instance that also
+	// forces d, which must lie ahead of the cursor (d.At > Cursor()). The
+	// copy is the instance Model.New would build for the decisions so far
+	// plus d, run to the same cursor: it has its own substrate, injector,
+	// watchpoints and violation record, and the two never touch again.
+	// The zero Decision forces nothing, so Fork(Decision{}) is a plain
+	// copy. Only pausable models fork; the others panic.
+	Fork(d Decision) Instance
 	// RunToEnd drives the run to completion and applies the model's
 	// end-state invariants (exactly once).
 	RunToEnd()

@@ -144,56 +144,57 @@ func percpuFreeListModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: percpu-freelist: %v", err)
 	}
-	m := &vmachModel{name: "percpu-freelist", params: p, primary: ActPreempt, prog: prog}
-	m.build = func(m *vmachModel, ds []Decision, opt Options) (Instance, error) {
-		var strat kernel.Strategy
-		if variant == "ras" {
-			strat = kernel.NewMultiRegistration()
-		}
-		k := newVmachKernel(strat, ds, opt)
-		k.Load(m.prog)
-		if variant == "ras" {
-			for _, r := range guest.FreeListSequenceRanges(m.prog) {
-				if err := k.RegisterSequence(0, r[0], r[1]); err != nil {
-					return nil, fmt.Errorf("mcheck: percpu-freelist: %v", err)
+	m := &vmachModel{name: "percpu-freelist", params: p, primary: ActPreempt, prog: prog,
+		strategy: func() kernel.Strategy {
+			if variant == "ras" {
+				return kernel.NewMultiRegistration()
+			}
+			return nil
+		},
+		setup: func(k *kernel.Kernel) error {
+			k.Load(prog)
+			if variant == "ras" {
+				for _, r := range guest.FreeListSequenceRanges(prog) {
+					if err := k.RegisterSequence(0, r[0], r[1]); err != nil {
+						return fmt.Errorf("mcheck: percpu-freelist: %v", err)
+					}
 				}
 			}
-		}
-		for w := 0; w < workers; w++ {
-			k.Spawn(m.prog.MustSymbol("worker"), guest.StackTop(w),
-				isa.Word(iters), isa.Word(w+1))
-		}
-		vio := &violations{}
+			for w := 0; w < workers; w++ {
+				k.Spawn(prog.MustSymbol("worker"), guest.StackTop(w),
+					isa.Word(iters), isa.Word(w+1))
+			}
+			return nil
+		},
+	}
+	head := prog.MustSymbol("fhead")
+	m.watch = func(in *vmachInstance) {
 		// One watchpoint per node's owner word: a stamp over a live tag is
 		// a double allocation.
 		for i := 0; i < nodes; i++ {
-			addr := m.prog.MustSymbol(guest.FreeListNodeLabel(i)) + 4
 			node := i
-			k.M.Mem.Watch(addr, func(old, new isa.Word) {
+			in.k.M.Mem.Watch(prog.MustSymbol(guest.FreeListNodeLabel(i))+4, func(old, new isa.Word) {
 				if old != 0 && new != 0 {
-					vio.add("double-alloc", "node %d stamped by owner %d while owner %d still holds it",
+					in.vio.add("double-alloc", "node %d stamped by owner %d while owner %d still holds it",
 						node, new, old)
 				}
 			})
 		}
-		in := &vmachInstance{k: k, vio: vio, expectCrash: hasAct(ds, ActCrash)}
-		kills := hasAct(ds, ActKill)
-		head := m.prog.MustSymbol("fhead")
+		if hasAct(in.ds, ActKill) {
+			return // a killed holder legitimately leaks its node
+		}
 		in.finish = func() {
-			if kills {
-				return // a killed holder legitimately leaks its node
-			}
 			// Every node must be back on the list, reachable exactly once.
+			mem := in.k.M.Mem
 			count := 0
-			for at := k.M.Mem.Peek(head); at != 0 && count <= nodes; at = k.M.Mem.Peek(uint32(at)) {
+			for at := mem.Peek(head); at != 0 && count <= nodes; at = mem.Peek(uint32(at)) {
 				count++
 			}
 			if count != nodes {
-				vio.add("free-list", "%d of %d nodes reachable from fhead after all workers exited",
+				in.vio.add("free-list", "%d of %d nodes reachable from fhead after all workers exited",
 					count, nodes)
 			}
 		}
-		return in, nil
 	}
 	return m, nil
 }
@@ -250,15 +251,21 @@ func (m *percpuServerModel) Params() map[string]string { return m.params }
 func (m *percpuServerModel) Primary() Action           { return ActPreempt }
 func (m *percpuServerModel) Pausable() bool            { return true }
 
-func (m *percpuServerModel) New(ds []Decision, opt Options) (Instance, error) {
+// config is the system config for a run forcing ds: an ActPreempt
+// decision is rendered into every CPU's kernel injector.
+func (m *percpuServerModel) config(ds []Decision) smp.Config {
 	inj := newInjector(chaos.PointStep, ds)
-	sys := smp.New(smp.Config{
+	return smp.Config{
 		CPUs:        m.cpus,
 		Quantum:     modelQuantum,
 		MaxCycles:   smpBudget,
 		NewStrategy: kernel.MultiRegistrationStrategy,
 		Faults:      func(int) chaos.Injector { return inj },
-	})
+	}
+}
+
+func (m *percpuServerModel) New(ds []Decision, opt Options) (Instance, error) {
+	sys := smp.New(m.config(ds))
 	if opt.Tracer != nil {
 		sys.AttachTracer(opt.Tracer)
 	}
@@ -284,13 +291,14 @@ func (m *percpuServerModel) New(ds []Decision, opt Options) (Instance, error) {
 		}
 	}
 	return &percpuServerInstance{
-		m: m, sys: sys, vio: &violations{}, ds: ds,
+		m: m, opt: opt, sys: sys, vio: &violations{}, ds: ds,
 		want: uint64(m.cpus * m.clients * m.iters),
 	}, nil
 }
 
 type percpuServerInstance struct {
 	m     *percpuServerModel
+	opt   Options
 	sys   *smp.System
 	vio   *violations
 	ds    []Decision // sorted by At; next is ds[di]
@@ -302,6 +310,16 @@ type percpuServerInstance struct {
 	want  uint64
 	done  bool
 	ended bool
+}
+
+// Fork copies the paused system under the fork's own injectors; the
+// model has no watchpoints.
+func (in *percpuServerInstance) Fork(d Decision) Instance {
+	c := *in
+	c.ds = withDecision(in.ds, d)
+	c.vio = in.vio.clone()
+	c.sys = forkSystem(in.sys, in.m.config(c.ds), in.opt)
+	return &c
 }
 
 func (in *percpuServerInstance) rotate() {

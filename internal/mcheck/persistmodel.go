@@ -97,20 +97,36 @@ func persistModel(p map[string]string) (Model, error) {
 	return m, nil
 }
 
-// boot starts a kernel over the shared (surviving) memory. Only the first
-// boot loads the program image: on a reboot the image is already durable
-// in NVM, and reloading would reset the very data words recovery reads.
-func (in *persistInstance) boot() {
-	k := kernel.New(kernel.Config{
+// config is every boot's kernel: Taos-style recovery over the instance's
+// memory, the timer parked. Crashes are the instance's own transitions, so
+// no injector is installed.
+func (in *persistInstance) config() kernel.Config {
+	return kernel.Config{
 		Strategy:  &kernel.Designated{},
 		CheckAt:   kernel.CheckAtResume,
 		Quantum:   modelQuantum,
 		MaxCycles: modelBudget,
 		Memory:    in.mem,
-	})
-	if in.opt.Tracer != nil {
-		k.Tracer = in.opt.Tracer
 	}
+}
+
+// Fork copies the paused kernel onto a memory of the fork's own, which
+// the copy watches, and carries the cursor and boot bookkeeping across.
+func (in *persistInstance) Fork(d Decision) Instance {
+	c := *in
+	c.ds = withDecision(in.ds, d)
+	c.vio = in.vio.clone()
+	c.mem = vmach.NewMemory()
+	c.k = forkKernel(in.k, c.config(), in.opt)
+	c.installWatchers()
+	return &c
+}
+
+// boot starts a kernel over the shared (surviving) memory. Only the first
+// boot loads the program image: on a reboot the image is already durable
+// in NVM, and reloading would reset the very data words recovery reads.
+func (in *persistInstance) boot() {
+	k := newKernel(in.config(), in.opt)
 	in.k = k
 	if in.boots == 0 {
 		k.Load(in.prog)
@@ -208,8 +224,8 @@ func (in *persistInstance) StateHash() ([32]byte, bool) {
 	return sha256.Sum256(append(h[:], extra[:]...)), true
 }
 
-// installWatchers installs the recoverable-mutex watchpoints once, on the
-// shared memory, so they survive reboots. They read the *current* kernel
+// installWatchers installs the recoverable-mutex watchpoints once per
+// instance, on its memory, so they survive reboots. They read the *current* kernel
 // through the instance, and extend the watchRME rules with the one
 // transition crash recovery adds: main (thread 0, alone) releasing a dead
 // owner's lock with the epoch bumped, before any worker exists.
@@ -219,16 +235,6 @@ func (in *persistInstance) installWatchers() {
 			return t.ID
 		}
 		return -1
-	}
-	dead := func(tid int) bool {
-		if tid < 0 || tid >= len(in.k.Threads()) {
-			return true
-		}
-		switch in.k.Threads()[tid].State {
-		case kernel.StateDone, kernel.StateFaulted, kernel.StateKilled:
-			return true
-		}
-		return false
 	}
 	in.mem.Watch(in.lockAddr, func(old, new isa.Word) {
 		me := cur()
@@ -243,7 +249,7 @@ func (in *persistInstance) installWatchers() {
 			switch {
 			case oldOwner == me+1 && newEpoch == oldEpoch:
 				// Release by the owner.
-			case me == 0 && newEpoch == oldEpoch+1 && dead(oldOwner-1):
+			case me == 0 && newEpoch == oldEpoch+1 && !in.k.ThreadAlive(oldOwner-1):
 				// Boot-time repair of a crashed boot's owner.
 			default:
 				in.vio.add("rme", "bad release/repair %#x->%#x by t%d", old, new, me)
@@ -252,7 +258,7 @@ func (in *persistInstance) installWatchers() {
 			if newOwner != me+1 || newEpoch != oldEpoch+1 {
 				in.vio.add("rme", "bad steal %#x->%#x by t%d", old, new, me)
 			}
-			if !dead(oldOwner - 1) {
+			if in.k.ThreadAlive(oldOwner - 1) {
 				in.vio.add("mutual-exclusion", "t%d stole the lock from live t%d", me, oldOwner-1)
 			}
 		}

@@ -3,6 +3,7 @@ package mcheck
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/asm"
 	"repro/internal/isa"
@@ -83,16 +84,8 @@ func (m *qlockQueueModel) New(ds []Decision, opt Options) (Instance, error) {
 	if opt.Tracer != nil {
 		r.Sys.AttachTracer(opt.Tracer)
 	}
-	in := &qlockInstance{run: r, vio: &violations{}, ds: ds, turnMax: qlockTurn, fifo: true}
-	in.watchCounter()
-	// The qtail watchpoint records the true admission order: with no
-	// kills and no TryAcquire the only non-zero stores to the tail are
-	// the enqueue swaps, one per passage.
-	r.Sys.Mem.Watch(r.Prog.Qtail, func(old, new isa.Word) {
-		if new != 0 {
-			in.enq = append(in.enq, in.nodeOwner(uint32(new)))
-		}
-	})
+	in := &qlockInstance{run: r, opt: opt, vio: &violations{}, ds: ds, turnMax: qlockTurn, fifo: true}
+	in.watch()
 	return in, nil
 }
 
@@ -157,8 +150,8 @@ func (m *qlockRecModel) New(ds []Decision, opt Options) (Instance, error) {
 	if opt.Tracer != nil {
 		r.Sys.AttachTracer(opt.Tracer)
 	}
-	in := &qlockInstance{run: r, vio: &violations{}, ds: ds, turnMax: qlockTurn}
-	in.watchCounter()
+	in := &qlockInstance{run: r, opt: opt, vio: &violations{}, ds: ds, turnMax: qlockTurn}
+	in.watch()
 	return in, nil
 }
 
@@ -168,6 +161,7 @@ func (m *qlockRecModel) New(ds []Decision, opt Options) (Instance, error) {
 // on the CPU holding it.
 type qlockInstance struct {
 	run     *qlock.Run
+	opt     Options
 	vio     *violations
 	ds      []Decision
 	di      int
@@ -183,12 +177,39 @@ type qlockInstance struct {
 	ended bool
 }
 
-func (in *qlockInstance) watchCounter() {
-	in.run.Sys.Mem.Watch(in.run.Prog.Counter, func(old, new isa.Word) {
+// watch installs the counter watchpoint and, on kill-free models, the
+// qtail watchpoint that records the true admission order: with no kills
+// and no TryAcquire the only non-zero stores to the tail are the enqueue
+// swaps, one per passage.
+func (in *qlockInstance) watch() {
+	mem := in.run.Sys.Mem
+	mem.Watch(in.run.Prog.Counter, func(old, new isa.Word) {
 		if new != old+1 {
 			in.vio.add("lost-update", "counter store %d->%d is not an increment", old, new)
 		}
 	})
+	if in.fifo {
+		mem.Watch(in.run.Prog.Qtail, func(old, new isa.Word) {
+			if new != 0 {
+				in.enq = append(in.enq, in.nodeOwner(uint32(new)))
+			}
+		})
+	}
+}
+
+// Fork copies the paused system (under the run's own system config, the
+// CPU count and coherence mode coming from the snapshot), the
+// interleaving state and the admission log, then watches the copy.
+func (in *qlockInstance) Fork(d Decision) Instance {
+	c := *in
+	c.ds = withDecision(in.ds, d)
+	c.vio = in.vio.clone()
+	c.enq = slices.Clone(in.enq)
+	cfg := in.run.Cfg
+	sys := forkSystem(in.run.Sys, smp.Config{Quantum: cfg.Quantum, MaxCycles: cfg.MaxCycles, Faults: cfg.Faults}, in.opt)
+	c.run = &qlock.Run{Cfg: cfg, Sys: sys, Prog: in.run.Prog}
+	c.watch()
+	return &c
 }
 
 // nodeOwner maps a qnode address back to its worker's global tid.

@@ -70,39 +70,32 @@ func (m *smpModel) Params() map[string]string { return m.params }
 func (m *smpModel) Primary() Action           { return ActSwitch }
 func (m *smpModel) Pausable() bool            { return true }
 
+// config is the system config every instance runs under.
+func (m *smpModel) config() smp.Config {
+	return smp.Config{CPUs: m.cpus, Quantum: modelQuantum, MaxCycles: smpBudget}
+}
+
 func (m *smpModel) New(ds []Decision, opt Options) (Instance, error) {
-	sys := smp.New(smp.Config{
-		CPUs:      m.cpus,
-		Quantum:   modelQuantum,
-		MaxCycles: smpBudget,
-	})
+	sys := smp.New(m.config())
 	if opt.Tracer != nil {
 		sys.AttachTracer(opt.Tracer)
 	}
 	sys.Load(m.prog)
 	for c := 0; c < m.cpus; c++ {
-		_, gid := sys.Spawn(c, m.prog.MustSymbol("worker"), guest.StackTop(smp.GlobalID(c, 0)), isa.Word(m.iters))
-		_ = gid
+		sys.Spawn(c, m.prog.MustSymbol("worker"), guest.StackTop(smp.GlobalID(c, 0)), isa.Word(m.iters))
 	}
-	vio := &violations{}
-	counterAddr := m.prog.MustSymbol("counter")
-	// On shared memory the counter watchpoint IS the mutual-exclusion
-	// checker: each critical section is lw/addi/sw, so two overlapping
-	// passages surface as a store that is not old+1.
-	sys.Mem.Watch(counterAddr, func(old, new isa.Word) {
-		if new != old+1 {
-			vio.add("lost-update", "counter store %d->%d is not an increment", old, new)
-		}
-	})
 	in := &smpInstance{
-		sys: sys, vio: vio, ds: ds,
+		m: m, opt: opt, sys: sys, vio: &violations{}, ds: ds,
 		want:        isa.Word(m.cpus * m.iters),
-		counterAddr: counterAddr,
+		counterAddr: m.prog.MustSymbol("counter"),
 	}
+	in.watch()
 	return in, nil
 }
 
 type smpInstance struct {
+	m     *smpModel
+	opt   Options
 	sys   *smp.System
 	vio   *violations
 	ds    []Decision // sorted by At; next is ds[di]
@@ -115,6 +108,42 @@ type smpInstance struct {
 	counterAddr uint32
 	done        bool
 	ended       bool
+}
+
+// watch installs the counter watchpoint. On shared memory it IS the
+// mutual-exclusion checker: each critical section is lw/addi/sw, so two
+// overlapping passages surface as a store that is not old+1.
+func (in *smpInstance) watch() {
+	in.sys.Mem.Watch(in.counterAddr, func(old, new isa.Word) {
+		if new != old+1 {
+			in.vio.add("lost-update", "counter store %d->%d is not an increment", old, new)
+		}
+	})
+}
+
+// Fork copies the paused system and the interleaving state, then watches
+// the copy's memory.
+func (in *smpInstance) Fork(d Decision) Instance {
+	c := *in
+	c.ds = withDecision(in.ds, d)
+	c.vio = in.vio.clone()
+	c.sys = forkSystem(in.sys, in.m.config(), in.opt)
+	c.watch()
+	return &c
+}
+
+// forkSystem copies a paused system into a fresh one built from cfg, with
+// the harness tracer attached.
+func forkSystem(s *smp.System, cfg smp.Config, opt Options) *smp.System {
+	c, err := s.Fork(cfg)
+	if err != nil {
+		// cfg is the config s was built with: a restore cannot be refused.
+		panic(fmt.Sprintf("mcheck: fork: %v", err))
+	}
+	if opt.Tracer != nil {
+		c.AttachTracer(opt.Tracer)
+	}
+	return c
 }
 
 // rotate hands the interleaving to the next unfinished CPU.

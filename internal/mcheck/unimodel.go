@@ -47,6 +47,9 @@ func (in *uniInstance) RunToEnd() {
 	in.done = true
 	in.cursor = in.m.run(in.ds, in.opt, in.vio)
 }
+func (in *uniInstance) Fork(Decision) Instance {
+	panic("mcheck: " + in.m.name + " is not pausable and cannot fork")
+}
 func (in *uniInstance) Cursor() uint64              { return in.cursor }
 func (in *uniInstance) Violations() []Violation     { return in.vio.list }
 func (in *uniInstance) StateHash() ([32]byte, bool) { return [32]byte{}, false }

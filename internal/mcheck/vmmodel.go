@@ -29,7 +29,18 @@ type vmachModel struct {
 	params  map[string]string
 	primary Action
 	prog    *asm.Program
-	build   func(m *vmachModel, ds []Decision, opt Options) (Instance, error)
+	// strategy returns a fresh recovery strategy for one instance (nil:
+	// none).
+	strategy func() kernel.Strategy
+	// setup loads the program and spawns the workload into a fresh
+	// kernel. Forks skip it: they restore a paused instance instead.
+	setup func(k *kernel.Kernel) error
+	// watch installs an instance's watchpoints and end-state check. New
+	// and Fork both call it, so every copy judges its own run.
+	watch func(in *vmachInstance)
+	// build, when set, replaces the hooks above with a model's own
+	// instance type (persist, journal).
+	build func(m *vmachModel, ds []Decision, opt Options) (Instance, error)
 }
 
 func (m *vmachModel) Name() string              { return m.name }
@@ -37,20 +48,57 @@ func (m *vmachModel) Params() map[string]string { return m.params }
 func (m *vmachModel) Primary() Action           { return m.primary }
 func (m *vmachModel) Pausable() bool            { return true }
 func (m *vmachModel) New(ds []Decision, opt Options) (Instance, error) {
-	return m.build(m, ds, opt)
+	if m.build != nil {
+		return m.build(m, ds, opt)
+	}
+	in := &vmachInstance{m: m, opt: opt, ds: ds, vio: &violations{}, holder: -1}
+	in.k = newKernel(in.config(), opt)
+	if err := m.setup(in.k); err != nil {
+		return nil, err
+	}
+	m.watch(in)
+	return in, nil
 }
 
 type vmachInstance struct {
-	k      *kernel.Kernel
-	vio    *violations
+	m   *vmachModel
+	opt Options
+	ds  []Decision
+	k   *kernel.Kernel
+	vio *violations
+	// holder and increments are the watchpoints' running state: the lock
+	// holder watchMutexCounter tracks and the increments watchRME counts.
+	holder     int
+	increments uint64
+
 	done   bool
 	ended  bool
 	runErr error
-	// expectCrash marks schedules that contain a crash decision, whose
-	// ErrMachineCrash outcome is the point, not a violation.
-	expectCrash bool
 	// finish applies the model's end-state invariants.
 	finish func()
+}
+
+// config is the standard model-checking kernel: the schedule's injector
+// installed (always, so step ordinals count), the timer parked.
+func (in *vmachInstance) config() kernel.Config {
+	return kernel.Config{
+		Strategy:  in.m.strategy(),
+		Quantum:   modelQuantum,
+		MaxCycles: modelBudget,
+		Faults:    newInjector(chaos.PointStep, in.ds),
+	}
+}
+
+// Fork copies the paused kernel under a kernel config and watchpoints of
+// the fork's own, and carries the watchpoints' state across.
+func (in *vmachInstance) Fork(d Decision) Instance {
+	c := *in
+	c.ds = withDecision(in.ds, d)
+	c.vio = in.vio.clone()
+	c.k = forkKernel(in.k, c.config(), in.opt)
+	c.finish = nil
+	in.m.watch(&c)
+	return &c
 }
 
 func (in *vmachInstance) step() {
@@ -83,6 +131,7 @@ func (in *vmachInstance) RunToEnd() {
 }
 
 // classify folds the kernel's terminal error into the violation taxonomy.
+// A schedule with a crash decision ends in ErrMachineCrash by design.
 func (in *vmachInstance) classify() {
 	err := in.runErr
 	switch {
@@ -94,7 +143,7 @@ func (in *vmachInstance) classify() {
 	case errors.Is(err, kernel.ErrBudget):
 		in.vio.add("budget", "%v", err)
 	case errors.Is(err, kernel.ErrMachineCrash):
-		if !in.expectCrash {
+		if !hasAct(in.ds, ActCrash) {
 			in.vio.add("crash", "%v", err)
 		}
 	default:
@@ -108,6 +157,20 @@ func (in *vmachInstance) StateHash() ([32]byte, bool) {
 	return hashKernel(in.k), true
 }
 
+// current is the running thread's ID, -1 between timeslices: whom a
+// watchpoint attributes a store to.
+func (in *vmachInstance) current() int {
+	if t := in.k.Current(); t != nil {
+		return t.ID
+	}
+	return -1
+}
+
+// counter reads the workload's counter word at the end of the run.
+func (in *vmachInstance) counter() isa.Word {
+	return in.k.M.Mem.Peek(in.m.prog.MustSymbol("counter"))
+}
+
 func hasAct(ds []Decision, a Action) bool {
 	for _, d := range ds {
 		if d.Act == a {
@@ -117,52 +180,65 @@ func hasAct(ds []Decision, a Action) bool {
 	return false
 }
 
-// newVmachKernel builds the standard model-checking kernel: schedule
-// injector installed (always, so step ordinals count), timer parked.
-func newVmachKernel(strat kernel.Strategy, ds []Decision, opt Options) *kernel.Kernel {
-	k := kernel.New(kernel.Config{
-		Strategy:  strat,
-		Quantum:   modelQuantum,
-		MaxCycles: modelBudget,
-		Faults:    newInjector(chaos.PointStep, ds),
-	})
+// newKernel builds a kernel from cfg with the harness tracer attached.
+func newKernel(cfg kernel.Config, opt Options) *kernel.Kernel {
+	k := kernel.New(cfg)
 	if opt.Tracer != nil {
 		k.Tracer = opt.Tracer
 	}
 	return k
 }
 
+// forkKernel copies a paused kernel into a fresh one built from cfg: the
+// restored snapshot plus the sticky halt a snapshot does not carry.
+func forkKernel(k *kernel.Kernel, cfg kernel.Config, opt Options) *kernel.Kernel {
+	c, err := kernel.Restore(cfg, k.Capture())
+	if err != nil {
+		// The fork's config names the strategy and profile the original
+		// was built with, so a restore cannot be refused.
+		panic(fmt.Sprintf("mcheck: fork: %v", err))
+	}
+	c.InheritHalt(k)
+	if opt.Tracer != nil {
+		c.Tracer = opt.Tracer
+	}
+	return c
+}
+
+// loadMain is the setup of workloads whose main thread spawns the rest.
+func loadMain(prog *asm.Program) func(k *kernel.Kernel) error {
+	return func(k *kernel.Kernel) error {
+		k.Load(prog)
+		k.Spawn(prog.MustSymbol("main"), guest.StackTop(0))
+		return nil
+	}
+}
+
 // watchMutexCounter installs the mutual-exclusion and lost-update
 // checkers on a lock/counter workload: ownership is tracked at the lock
 // word, and judged at the counter — the critical section's effect — so a
 // losing test-and-set harmlessly re-storing 1 does not false-positive.
-func watchMutexCounter(k *kernel.Kernel, lockAddr, counterAddr uint32, v *violations) {
-	holder := -1
-	cur := func() int {
-		if t := k.Current(); t != nil {
-			return t.ID
-		}
-		return -1
-	}
-	k.M.Mem.Watch(lockAddr, func(old, new isa.Word) {
-		me := cur()
+func (in *vmachInstance) watchMutexCounter() {
+	mem := in.k.M.Mem
+	mem.Watch(in.m.prog.MustSymbol("lock"), func(old, new isa.Word) {
+		me := in.current()
 		switch {
 		case old == 0 && new != 0:
-			holder = me
+			in.holder = me
 		case old != 0 && new == 0:
-			if me != holder {
-				v.add("lock-discipline", "t%d released the lock held by t%d", me, holder)
+			if me != in.holder {
+				in.vio.add("lock-discipline", "t%d released the lock held by t%d", me, in.holder)
 			}
-			holder = -1
+			in.holder = -1
 		}
 	})
-	k.M.Mem.Watch(counterAddr, func(old, new isa.Word) {
-		me := cur()
-		if me != holder {
-			v.add("mutual-exclusion", "t%d stored counter %d->%d while t%d holds the lock", me, old, new, holder)
+	mem.Watch(in.m.prog.MustSymbol("counter"), func(old, new isa.Word) {
+		me := in.current()
+		if me != in.holder {
+			in.vio.add("mutual-exclusion", "t%d stored counter %d->%d while t%d holds the lock", me, old, new, in.holder)
 		}
 		if new != old+1 {
-			v.add("lost-update", "counter store %d->%d is not an increment", old, new)
+			in.vio.add("lost-update", "counter store %d->%d is not an increment", old, new)
 		}
 	})
 }
@@ -198,30 +274,25 @@ func counterModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: counter: %v", err)
 	}
-	m := &vmachModel{name: "counter", params: p, primary: ActPreempt, prog: prog}
-	m.build = func(m *vmachModel, ds []Decision, opt Options) (Instance, error) {
-		strat, err := strategyByName(counterStrategy(mech))
-		if err != nil {
-			return nil, err
-		}
-		k := newVmachKernel(strat, ds, opt)
-		k.Load(m.prog)
-		k.Spawn(m.prog.MustSymbol("main"), guest.StackTop(0))
-		vio := &violations{}
-		watchMutexCounter(k, m.prog.MustSymbol("lock"), m.prog.MustSymbol("counter"), vio)
-		in := &vmachInstance{k: k, vio: vio, expectCrash: hasAct(ds, ActCrash)}
-		want := isa.Word(workers * iters)
-		kills := hasAct(ds, ActKill)
+	m := &vmachModel{name: "counter", params: p, primary: ActPreempt, prog: prog,
+		strategy: func() kernel.Strategy {
+			strat, _ := strategyByName(counterStrategy(mech))
+			return strat
+		},
+		setup: loadMain(prog),
+	}
+	want := isa.Word(workers * iters)
+	m.watch = func(in *vmachInstance) {
+		in.watchMutexCounter()
+		kills := hasAct(in.ds, ActKill)
 		in.finish = func() {
-			got := k.M.Mem.Peek(m.prog.MustSymbol("counter"))
-			switch {
+			switch got := in.counter(); {
 			case !kills && got != want:
-				vio.add("counter-exact", "counter = %d, want %d", got, want)
+				in.vio.add("counter-exact", "counter = %d, want %d", got, want)
 			case kills && got > want:
-				vio.add("counter-exact", "counter = %d exceeds %d with kills", got, want)
+				in.vio.add("counter-exact", "counter = %d exceeds %d with kills", got, want)
 			}
 		}
-		return in, nil
 	}
 	return m, nil
 }
@@ -262,30 +333,29 @@ func broken2storeModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: broken2store: %v", err)
 	}
-	m := &vmachModel{name: "broken2store", params: p, primary: ActPreempt, prog: prog}
-	m.build = func(m *vmachModel, ds []Decision, opt Options) (Instance, error) {
-		strat := kernel.NewMultiRegistration()
-		k := newVmachKernel(strat, ds, opt)
-		k.Load(m.prog)
-		lo, hi := m.prog.MustSymbol("bad_seq"), m.prog.MustSymbol("bad_end")
-		if err := k.VerifySequence(lo, hi-lo); err == nil {
-			return nil, fmt.Errorf("mcheck: broken2store: verifier accepted the malformed range")
-		}
-		strat.AddRange(lo, hi-lo)
-		for w := 0; w < workers; w++ {
-			k.Spawn(m.prog.MustSymbol("worker"), guest.StackTop(w), isa.Word(iters))
-		}
-		vio := &violations{}
-		in := &vmachInstance{k: k, vio: vio, expectCrash: hasAct(ds, ActCrash)}
-		want := isa.Word(workers * iters)
-		kills := hasAct(ds, ActKill)
+	m := &vmachModel{name: "broken2store", params: p, primary: ActPreempt, prog: prog,
+		strategy: func() kernel.Strategy { return kernel.NewMultiRegistration() },
+		setup: func(k *kernel.Kernel) error {
+			k.Load(prog)
+			lo, hi := prog.MustSymbol("bad_seq"), prog.MustSymbol("bad_end")
+			if err := k.VerifySequence(lo, hi-lo); err == nil {
+				return fmt.Errorf("mcheck: broken2store: verifier accepted the malformed range")
+			}
+			k.Strategy.(*kernel.MultiRegistration).AddRange(lo, hi-lo)
+			for w := 0; w < workers; w++ {
+				k.Spawn(prog.MustSymbol("worker"), guest.StackTop(w), isa.Word(iters))
+			}
+			return nil
+		},
+	}
+	want := isa.Word(workers * iters)
+	m.watch = func(in *vmachInstance) {
+		kills := hasAct(in.ds, ActKill)
 		in.finish = func() {
-			got := k.M.Mem.Peek(m.prog.MustSymbol("counter"))
-			if got != want && !kills {
-				vio.add("counter-exact", "counter = %d, want %d (restart re-applied a committed store)", got, want)
+			if got := in.counter(); got != want && !kills {
+				in.vio.add("counter-exact", "counter = %d, want %d (restart re-applied a committed store)", got, want)
 			}
 		}
-		return in, nil
 	}
 	return m, nil
 }
@@ -306,83 +376,66 @@ func recoverableModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: recoverable: %v", err)
 	}
-	m := &vmachModel{name: "recoverable", params: p, primary: ActKill, prog: prog}
-	m.build = func(m *vmachModel, ds []Decision, opt Options) (Instance, error) {
-		strat, _ := strategyByName(m.params["strategy"])
-		k := newVmachKernel(strat, ds, opt)
-		k.Load(m.prog)
-		k.Spawn(m.prog.MustSymbol("main"), guest.StackTop(0))
-		vio := &violations{}
-		increments := watchRME(k, m.prog.MustSymbol("lock"), m.prog.MustSymbol("counter"), vio)
-		in := &vmachInstance{k: k, vio: vio, expectCrash: hasAct(ds, ActCrash)}
-		want := isa.Word(workers * iters)
-		kills := hasAct(ds, ActKill)
+	m := &vmachModel{name: "recoverable", params: p, primary: ActKill, prog: prog,
+		strategy: func() kernel.Strategy {
+			strat, _ := strategyByName(p["strategy"])
+			return strat
+		},
+		setup: loadMain(prog),
+	}
+	want := isa.Word(workers * iters)
+	m.watch = func(in *vmachInstance) {
+		in.watchRME()
+		kills := hasAct(in.ds, ActKill)
 		in.finish = func() {
-			got := k.M.Mem.Peek(m.prog.MustSymbol("counter"))
-			if got != isa.Word(*increments) {
-				vio.add("rme", "counter = %d but %d watched increments", got, *increments)
+			got := in.counter()
+			if got != isa.Word(in.increments) {
+				in.vio.add("rme", "counter = %d but %d watched increments", got, in.increments)
 			}
 			if !kills && got != want {
-				vio.add("counter-exact", "counter = %d, want %d", got, want)
+				in.vio.add("counter-exact", "counter = %d, want %d", got, want)
 			}
 			if kills && got > want {
-				vio.add("counter-exact", "counter = %d exceeds %d", got, want)
+				in.vio.add("counter-exact", "counter = %d exceeds %d", got, want)
 			}
 		}
-		return in, nil
 	}
 	return m, nil
 }
 
 // watchRME installs the recoverable-mutex watchpoints on the owner+epoch
 // lock word (low 16 bits: owner thread ID + 1; high bits: steal epoch)
-// and the counter. It returns the watched increment count.
-func watchRME(k *kernel.Kernel, lockAddr, counterAddr uint32, v *violations) *uint64 {
-	increments := new(uint64)
-	cur := func() int {
-		if t := k.Current(); t != nil {
-			return t.ID
-		}
-		return -1
-	}
-	dead := func(tid int) bool {
-		if tid < 0 || tid >= len(k.Threads()) {
-			return true
-		}
-		switch k.Threads()[tid].State {
-		case kernel.StateDone, kernel.StateFaulted, kernel.StateKilled:
-			return true
-		}
-		return false
-	}
-	k.M.Mem.Watch(lockAddr, func(old, new isa.Word) {
-		me := cur()
+// and the counter, which also counts the watched increments.
+func (in *vmachInstance) watchRME() {
+	mem := in.k.M.Mem
+	lockAddr := in.m.prog.MustSymbol("lock")
+	mem.Watch(lockAddr, func(old, new isa.Word) {
+		me := in.current()
 		oldOwner, newOwner := int(old&0xFFFF), int(new&0xFFFF)
 		oldEpoch, newEpoch := old>>16, new>>16
 		switch {
 		case oldOwner == 0 && newOwner != 0:
 			if newOwner != me+1 || newEpoch != oldEpoch {
-				v.add("rme", "bad acquire %#x->%#x by t%d", old, new, me)
+				in.vio.add("rme", "bad acquire %#x->%#x by t%d", old, new, me)
 			}
 		case oldOwner != 0 && newOwner == 0:
 			if oldOwner != me+1 || newEpoch != oldEpoch {
-				v.add("rme", "bad release %#x->%#x by t%d", old, new, me)
+				in.vio.add("rme", "bad release %#x->%#x by t%d", old, new, me)
 			}
 		case oldOwner != 0 && newOwner != 0:
 			if newOwner != me+1 || newEpoch != oldEpoch+1 {
-				v.add("rme", "bad steal %#x->%#x by t%d", old, new, me)
+				in.vio.add("rme", "bad steal %#x->%#x by t%d", old, new, me)
 			}
-			if !dead(oldOwner - 1) {
-				v.add("mutual-exclusion", "t%d stole the lock from live t%d", me, oldOwner-1)
+			if in.k.ThreadAlive(oldOwner - 1) {
+				in.vio.add("mutual-exclusion", "t%d stole the lock from live t%d", me, oldOwner-1)
 			}
 		}
 	})
-	k.M.Mem.Watch(counterAddr, func(old, new isa.Word) {
-		*increments++
-		lock := k.M.Mem.Peek(lockAddr)
-		if me := cur(); int(lock&0xFFFF) != me+1 || new != old+1 {
-			v.add("mutual-exclusion", "t%d incremented %d->%d with lock %#x", me, old, new, lock)
+	mem.Watch(in.m.prog.MustSymbol("counter"), func(old, new isa.Word) {
+		in.increments++
+		lock := mem.Peek(lockAddr)
+		if me := in.current(); int(lock&0xFFFF) != me+1 || new != old+1 {
+			in.vio.add("mutual-exclusion", "t%d incremented %d->%d with lock %#x", me, old, new, lock)
 		}
 	})
-	return increments
 }

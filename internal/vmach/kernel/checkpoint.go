@@ -78,7 +78,13 @@ type Snapshot struct {
 
 // Capture snapshots the kernel and its machine. The snapshot is a value
 // copy: the kernel may keep running without disturbing it.
-func (k *Kernel) Capture() *Snapshot {
+func (k *Kernel) Capture() *Snapshot { return k.capture(k.M.Capture()) }
+
+// CaptureShared is Capture with an empty memory image, for kernels over a
+// shared memory that the caller captures once (vmach.Machine.CaptureShared).
+func (k *Kernel) CaptureShared() *Snapshot { return k.capture(k.M.CaptureShared()) }
+
+func (k *Kernel) capture(m *vmach.MachineImage) *Snapshot {
 	s := &Snapshot{
 		Strategy:       k.Strategy.Name(),
 		Quantum:        k.Quantum,
@@ -89,7 +95,7 @@ func (k *Kernel) Capture() *Snapshot {
 		HasUserHandler: k.hasUserHandler,
 		Stats:          k.Stats,
 		Console:        append([]isa.Word(nil), k.Console...),
-		Machine:        k.M.Capture(),
+		Machine:        m,
 	}
 	if k.cur != nil {
 		s.CurID = int32(k.cur.ID)
@@ -136,6 +142,14 @@ func (k *Kernel) Capture() *Snapshot {
 	}
 	sort.Slice(s.Waits, func(i, j int) bool { return s.Waits[i].Addr < s.Waits[j].Addr })
 	return s
+}
+
+// InheritHalt copies from's sticky halt — a watchdog abort or an injected
+// crash that ends the run at its next step — which a Snapshot does not
+// carry. Restore of from's Capture followed by InheritHalt is an exact
+// fork of from: the copy ends where the original would.
+func (k *Kernel) InheritHalt(from *Kernel) {
+	k.livelock, k.crashed = from.livelock, from.crashed
 }
 
 // Restore builds a kernel from cfg and installs the snapshot's state into

@@ -156,6 +156,38 @@ func TestCrashCheckpointRestoreReplays(t *testing.T) {
 	compareRuns(t, k2, ref)
 }
 
+// A crash injected at a step is sticky: the run ends at the next step.
+// A snapshot taken in between does not carry it, so a fork must inherit
+// it to end where the original does.
+func TestInheritHaltCarriesPendingCrash(t *testing.T) {
+	crash := chaos.OneShot{Point: chaos.PointStep, N: 700, Action: chaos.Action{Crash: true}}
+	k := ckptBoot(t, crash)
+	for k.Steps() < 700 {
+		if fin, err := k.StepOne(); fin {
+			t.Fatalf("run ended before the crash step: %v", err)
+		}
+	}
+	fork := func(inherit bool) error {
+		c, err := Restore(ckptConfig(nil), k.Capture())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inherit {
+			c.InheritHalt(k)
+		}
+		return c.Run()
+	}
+	if err := fork(true); !errors.Is(err, ErrMachineCrash) {
+		t.Errorf("fork with the inherited halt ran to %v, want ErrMachineCrash", err)
+	}
+	if err := fork(false); err != nil {
+		t.Errorf("plain restore ran to %v, want a clean finish", err)
+	}
+	if err := k.Run(); !errors.Is(err, ErrMachineCrash) {
+		t.Errorf("original ran to %v, want ErrMachineCrash", err)
+	}
+}
+
 func TestRestoreRejectsStrategyMismatch(t *testing.T) {
 	k := ckptBoot(t, nil)
 	if _, err := k.RunSteps(50); err != nil {

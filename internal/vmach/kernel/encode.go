@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/vmach"
@@ -258,6 +259,9 @@ func encodeMachineImage(e *encoder, m *vmach.MachineImage) {
 }
 
 func encodeMemoryImage(e *encoder, mem *vmach.MemoryImage) {
+	e.b = slices.Grow(e.b, 4+len(mem.Pages)*(4+4*vmach.PageWords)+
+		4+4*len(mem.NotPresent)+8+
+		1+4+len(mem.NVLines)*(4+4*vmach.LineWords)+4+4*len(mem.PendingLines))
 	e.u32(uint32(len(mem.Pages)))
 	for i := range mem.Pages {
 		p := &mem.Pages[i]

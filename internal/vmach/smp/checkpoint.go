@@ -48,11 +48,27 @@ func (s *System) Capture() *Snapshot {
 		Lines: s.Coh.capture(),
 	}
 	for _, k := range s.CPUs {
-		ks := k.Capture()
-		ks.Machine.Mem = &vmach.MemoryImage{}
-		snap.Kernels = append(snap.Kernels, ks)
+		snap.Kernels = append(snap.Kernels, k.CaptureShared())
 	}
 	return snap
+}
+
+// Fork returns an independent copy of the system, built from cfg as
+// Restore builds it, that also carries the run state a Snapshot leaves
+// out: which CPUs have finished with what verdict, and each kernel's
+// sticky halt (kernel.InheritHalt). Harness wiring — tracers and memory
+// watchpoints — is the caller's to attach to the copy.
+func (s *System) Fork(cfg Config) (*System, error) {
+	c, err := Restore(cfg, s.Capture())
+	if err != nil {
+		return nil, err
+	}
+	copy(c.done, s.done)
+	copy(c.verds, s.verds)
+	for i, k := range s.CPUs {
+		c.CPUs[i].InheritHalt(k)
+	}
+	return c, nil
 }
 
 // Restore builds a system from cfg and installs the snapshot. The CPU
@@ -101,7 +117,16 @@ func Restore(cfg Config, snap *Snapshot) (*System, error) {
 
 // Encode serializes the snapshot canonically.
 func (s *Snapshot) Encode() []byte {
-	var b []byte
+	// Encode the parts first, so the whole fits one allocation.
+	blobs := make([][]byte, len(s.Kernels))
+	size := len(smpMagic) + 4*3 + 8*3
+	for i, ks := range s.Kernels {
+		blobs[i] = ks.Encode()
+		size += 4 + len(blobs[i])
+	}
+	mem := kernel.EncodeMemoryImage(s.Mem)
+	size += 4 + len(mem) + 4 + 20*len(s.Lines)
+	b := make([]byte, 0, size)
 	b = append(b, smpMagic...)
 	b = appendU32(b, smpVersion)
 	b = appendU32(b, uint32(s.Mode))
@@ -109,12 +134,10 @@ func (s *Snapshot) Encode() []byte {
 	b = appendU64(b, s.Costs.Remote)
 	b = appendU64(b, s.Costs.Invalidate)
 	b = appendU32(b, uint32(len(s.Kernels)))
-	for _, ks := range s.Kernels {
-		blob := ks.Encode()
+	for _, blob := range blobs {
 		b = appendU32(b, uint32(len(blob)))
 		b = append(b, blob...)
 	}
-	mem := kernel.EncodeMemoryImage(s.Mem)
 	b = appendU32(b, uint32(len(mem)))
 	b = append(b, mem...)
 	b = appendU32(b, uint32(len(s.Lines)))

@@ -48,6 +48,35 @@ func TestSMPCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSMPForkCarriesRunState: a fork taken after one CPU finished knows
+// it finished — the snapshot alone does not — and both copies then run
+// to the same end state.
+func TestSMPForkCarriesRunState(t *testing.T) {
+	orig, counter := buildCounter(Config{CPUs: 2}, guest.SMPHybrid, 2, 30)
+	for !orig.StepCPU(0) {
+	}
+	fork, err := orig.Fork(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fork.Done(0) || fork.Done(1) {
+		t.Fatalf("fork done = %v/%v, want cpu0 only", fork.Done(0), fork.Done(1))
+	}
+	for _, s := range []*System{orig, fork} {
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := fork.Mem.Peek(counter), orig.Mem.Peek(counter); got != want {
+		t.Errorf("counter: fork %d, original %d", got, want)
+	}
+	for i := range orig.CPUs {
+		if fork.CPUs[i].M.Stats != orig.CPUs[i].M.Stats || fork.CPUs[i].Stats != orig.CPUs[i].Stats {
+			t.Errorf("cpu%d stats diverged between fork and original", i)
+		}
+	}
+}
+
 // TestSMPCheckpointEncodeCanonical: decode then re-encode is bit-identical,
 // and a snapshot restored from the decoded bytes replays like the original.
 func TestSMPCheckpointEncodeCanonical(t *testing.T) {

@@ -46,8 +46,11 @@ func (m *Memory) Capture() *MemoryImage {
 		pns = append(pns, pn)
 	}
 	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-	for _, pn := range pns {
-		img.Pages = append(img.Pages, PageImage{PN: pn, Words: *m.pages[pn]})
+	// Sized up front: growing by append would re-copy every 4 KiB page.
+	img.Pages = make([]PageImage, len(pns))
+	for i, pn := range pns {
+		img.Pages[i].PN = pn
+		img.Pages[i].Words = *m.pages[pn]
 	}
 	for pn := range m.notPresent {
 		img.NotPresent = append(img.NotPresent, pn)
@@ -103,14 +106,21 @@ type MachineImage struct {
 }
 
 // Capture snapshots the machine.
-func (m *Machine) Capture() *MachineImage {
+func (m *Machine) Capture() *MachineImage { return m.capture(m.Mem.Capture()) }
+
+// CaptureShared snapshots the machine without its memory: the image
+// carries an empty MemoryImage. It is for machines that share one memory
+// whose owner captures it once (the CPUs of an SMP complex).
+func (m *Machine) CaptureShared() *MachineImage { return m.capture(&MemoryImage{}) }
+
+func (m *Machine) capture(mem *MemoryImage) *MachineImage {
 	return &MachineImage{
 		ProfileName: m.Profile.Name,
 		Stats:       m.Stats,
 		WB:          append([]uint64(nil), m.wb...),
 		ResValid:    m.resValid,
 		ResAddr:     m.resAddr,
-		Mem:         m.Mem.Capture(),
+		Mem:         mem,
 	}
 }
 
