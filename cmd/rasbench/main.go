@@ -11,6 +11,7 @@
 //	rasbench -table 1 -json -    # machine-readable results on stdout
 //	rasbench -table 2 -trace-out t2.json  # Perfetto trace of the runs
 //	rasbench -pin                # rewrite every pinned BENCH_*.json (make pin)
+//	rasbench -table server -cpuprofile cpu.out  # any run, profiled
 //
 // The tables are bench.Tables; `rasbench -list` names them. Seeded sweeps
 // print one-line reproducers, replayable with -seed/-level (or, for the
@@ -42,6 +43,7 @@ type benchOpts struct {
 	jsonOut      string // per-table results as JSON ("-" = stdout)
 	traceOut     string // Chrome trace-event JSON of every run ("-" = stdout)
 	metrics      string // event-derived metrics dump ("-" = stdout)
+	cpuProf      string // Go CPU profile of the run
 	list         bool   // print the table catalog and exit
 	pin          bool   // rewrite every pinned BENCH file and exit
 }
@@ -66,6 +68,7 @@ func main() {
 	flag.StringVar(&o.traceOut, "trace-out", "", "write a Chrome trace-event JSON file of every substrate run (\"-\" = stdout; load in Perfetto)")
 	flag.StringVar(&o.metrics, "metrics", "", "write a plain-text metrics dump derived from the event stream (\"-\" = stdout)")
 	flag.StringVar(&o.cpus, "cpus", "", "comma-separated CPU counts for -table smp (default \"1,2,4\"), -table server (default \"1,2,4,8\"), and -table rmr (default \"1,2,3,4,6,8\")")
+	flag.StringVar(&o.cpuProf, "cpuprofile", "", "write a Go CPU profile of the run to this file")
 	flag.BoolVar(&o.list, "list", false, "print every table name with its description and BENCH file, and exit")
 	flag.BoolVar(&o.pin, "pin", false, "rewrite every pinned BENCH_*.json in the current directory from the default flags, and exit")
 	flag.Parse()
@@ -145,11 +148,20 @@ func lookup(name string) (bench.Table, bool) {
 	return bench.Table{}, false
 }
 
-func runOpts(o benchOpts) error {
+func runOpts(o benchOpts) (err error) {
 	opts, err := o.tableOpts()
 	if err != nil {
 		return err
 	}
+	stop, err := obs.StartCPUProfile(o.cpuProf)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if serr := stop(); err == nil {
+			err = serr
+		}
+	}()
 	if o.list {
 		tw := tabwriter.NewWriter(os.Stdout, 0, 8, 1, ' ', 0)
 		for _, t := range bench.Tables {

@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 func TestRunEachTable(t *testing.T) {
 	// Small iteration counts: this verifies wiring, not statistics.
@@ -66,5 +70,19 @@ func TestRunResilience(t *testing.T) {
 func TestRunUnknownTable(t *testing.T) {
 	if err := runOpts(benchOpts{table: "nonesuch", iters: 100, scale: 1}); err == nil {
 		t.Error("unknown table accepted")
+	}
+}
+
+func TestCPUProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.out")
+	if err := runOpts(benchOpts{table: "1", iters: 500, scale: 1, cpuProf: path}); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+		t.Errorf("no CPU profile written: %v", err)
+	}
+	bad := filepath.Join(t.TempDir(), "missing", "cpu.out")
+	if err := runOpts(benchOpts{table: "1", iters: 500, scale: 1, cpuProf: bad}); err == nil {
+		t.Error("unwritable -cpuprofile path accepted")
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -82,24 +81,16 @@ func run(args []string, out, errw io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if c.cpuProf != "" {
-		f, err := os.Create(c.cpuProf)
-		if err != nil {
-			fmt.Fprintln(errw, "rascheck:", err)
-			return 2
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			fmt.Fprintln(errw, "rascheck:", err)
-			return 2
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(errw, "rascheck:", err)
-			}
-		}()
+	stop, err := obs.StartCPUProfile(c.cpuProf)
+	if err != nil {
+		fmt.Fprintln(errw, "rascheck:", err)
+		return 2
 	}
+	defer func() {
+		if err := stop(); err != nil {
+			fmt.Fprintln(errw, "rascheck:", err)
+		}
+	}()
 	switch {
 	case c.list:
 		return listModels(out)

@@ -47,6 +47,7 @@
 //	rasvm -demo resilience -plan 'crashplan:seed=0x1,point=step,span=230,crashes=1000,mix=1:2:1'
 //	                                                 # supervised crash-restart
 //	                                                 # campaign (TableResilience repro)
+//	rasvm -demo server -cpus 4 -cpuprofile cpu.out   # any run, profiled
 //
 // Fault and recovery flags: -kill-at injects thread kills at the given
 // retired-instruction steps; -crash-at injects a whole-machine crash.
@@ -99,6 +100,7 @@ type options struct {
 	killCPU                 int    // -demo smp: CPU whose running thread -kill-at kills
 	smpMode                 string // -demo qlock: RMR counting mode, cc or dsm
 	plan                    string // -demo resilience: one-line crash plan
+	cpuProf                 string // Go CPU profile of the run
 	args                    []string
 	setFlags                map[string]bool // flags the user set explicitly
 }
@@ -139,6 +141,7 @@ func main() {
 	flag.IntVar(&o.killCPU, "kill-cpu", 0, "-demo smp: CPU whose running thread -kill-at kills")
 	flag.StringVar(&o.smpMode, "mode", "cc", "-demo qlock: RMR counting mode: cc (cache-coherent) or dsm (distributed shared memory)")
 	flag.StringVar(&o.plan, "plan", "", "-demo resilience: one-line crash plan (crashplan:seed=...,point=...,span=...,crashes=...,mix=c:v:t); empty derives a default campaign")
+	flag.StringVar(&o.cpuProf, "cpuprofile", "", "write a Go CPU profile of the run to this file")
 	flag.Parse()
 	o.args = flag.Args()
 	o.setFlags = map[string]bool{}
@@ -156,7 +159,16 @@ func main() {
 	}
 }
 
-func run(o options) error {
+func run(o options) (err error) {
+	stop, err := obs.StartCPUProfile(o.cpuProf)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if serr := stop(); err == nil {
+			err = serr
+		}
+	}()
 	if o.replaySched != "" {
 		return runReplaySched(o)
 	}

@@ -283,3 +283,19 @@ func TestDemoJournalNofenceTornIsInconsistent(t *testing.T) {
 		t.Errorf("nofence clean crash: %v", err)
 	}
 }
+
+func TestCPUProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.out")
+	o := demo("registration", "registered", 500)
+	o.cpuProf = path
+	if err := run(o); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+		t.Errorf("no CPU profile written: %v", err)
+	}
+	o.cpuProf = filepath.Join(t.TempDir(), "missing", "cpu.out")
+	if err := run(o); err == nil {
+		t.Error("unwritable -cpuprofile path accepted")
+	}
+}

@@ -292,9 +292,10 @@ func New(cfg Config) *Kernel {
 	}
 }
 
-// Load copies an assembled program into memory.
+// Load copies an assembled program into memory and predecodes its text.
 func (k *Kernel) Load(p *asm.Program) {
 	k.M.Mem.LoadProgramWords(p.TextBase, p.Text)
+	k.M.Mem.PredecodeText(p.TextBase, len(p.Text))
 	k.M.Mem.LoadProgramWords(p.DataBase, p.Data)
 }
 

@@ -98,6 +98,12 @@ type Machine struct {
 	// clears it when a remote CPU writes the reserved line.
 	resValid bool
 	resAddr  uint32
+
+	// itlb and dtlb are one-entry TLBs for instruction fetch and data
+	// loads, and scratch holds the decode of a word fetched from outside
+	// the predecoded text (fetch.go): host-side caches, in no snapshot.
+	itlb, dtlb tlb
+	scratch    decoded
 }
 
 // New creates a machine with fresh memory.
@@ -155,60 +161,64 @@ func (m *Machine) charge(ctx *Context, c isa.Class) {
 // kernel with the PC *not* advanced past the triggering instruction
 // (faults) or with SyscallPC recorded (syscalls).
 func (m *Machine) Step(ctx *Context) Event {
-	w, f := m.Mem.LoadWord(ctx.PC)
-	if f != nil {
-		return Event{Kind: EventFault, Fault: f}
-	}
-	inst := isa.Decode(w)
-	class := isa.ClassOf(inst)
-	m.Stats.Instructions++
-
-	reg := func(r int) isa.Word { return ctx.Regs[r] }
-	set := func(r int, v isa.Word) {
-		if r != isa.RegZero {
-			ctx.Regs[r] = v
+	// Fetch through the fetch TLB, then decode through the text table's
+	// entry for pc or, outside the table, the machine's scratch entry;
+	// either is refilled unless its tag is the word just fetched
+	// (fetch.go). Written out here: the compiler would not inline it.
+	mem, pc := m.Mem, ctx.PC
+	var w isa.Word
+	if t := &m.itlb; pc&3 == 0 && pc>>PageShift == t.pn && t.gen == mem.gen {
+		w = t.page[pc>>2&(PageWords-1)]
+	} else {
+		var f *Fault
+		if w, f = t.refill(mem, pc); f != nil {
+			return Event{Kind: EventFault, Fault: f}
 		}
 	}
+	d := &m.scratch
+	if i := (pc - mem.textBase) >> 2; i < uint32(len(mem.text)) {
+		d = &mem.text[i]
+	}
+	if d.raw != w {
+		*d = predecode(w)
+	}
+	class := isa.Class(d.class)
+	m.Stats.Instructions++
+
+	r := &ctx.Regs
 	next := ctx.PC + 4
 
-	switch inst.Op {
+	switch d.op {
 	case isa.OpSpecial:
-		switch inst.Funct {
+		switch d.funct {
 		case isa.FnSLL:
-			set(inst.Rd, reg(inst.Rt)<<uint(inst.Shamt))
+			ctx.set(d.rd, r[d.rt]<<d.shamt)
 		case isa.FnSRL:
-			set(inst.Rd, reg(inst.Rt)>>uint(inst.Shamt))
+			ctx.set(d.rd, r[d.rt]>>d.shamt)
 		case isa.FnSRA:
-			set(inst.Rd, isa.Word(int32(reg(inst.Rt))>>uint(inst.Shamt)))
+			ctx.set(d.rd, isa.Word(int32(r[d.rt])>>d.shamt))
 		case isa.FnADD:
-			set(inst.Rd, reg(inst.Rs)+reg(inst.Rt))
+			ctx.set(d.rd, r[d.rs]+r[d.rt])
 		case isa.FnSUB:
-			set(inst.Rd, reg(inst.Rs)-reg(inst.Rt))
+			ctx.set(d.rd, r[d.rs]-r[d.rt])
 		case isa.FnAND:
-			set(inst.Rd, reg(inst.Rs)&reg(inst.Rt))
+			ctx.set(d.rd, r[d.rs]&r[d.rt])
 		case isa.FnOR:
-			set(inst.Rd, reg(inst.Rs)|reg(inst.Rt))
+			ctx.set(d.rd, r[d.rs]|r[d.rt])
 		case isa.FnXOR:
-			set(inst.Rd, reg(inst.Rs)^reg(inst.Rt))
+			ctx.set(d.rd, r[d.rs]^r[d.rt])
 		case isa.FnNOR:
-			set(inst.Rd, ^(reg(inst.Rs) | reg(inst.Rt)))
+			ctx.set(d.rd, ^(r[d.rs] | r[d.rt]))
 		case isa.FnSLT:
-			if int32(reg(inst.Rs)) < int32(reg(inst.Rt)) {
-				set(inst.Rd, 1)
-			} else {
-				set(inst.Rd, 0)
-			}
+			ctx.set(d.rd, b2w(int32(r[d.rs]) < int32(r[d.rt])))
 		case isa.FnSLTU:
-			if reg(inst.Rs) < reg(inst.Rt) {
-				set(inst.Rd, 1)
-			} else {
-				set(inst.Rd, 0)
-			}
+			ctx.set(d.rd, b2w(r[d.rs] < r[d.rt]))
 		case isa.FnJR:
-			next = reg(inst.Rs)
+			next = r[d.rs]
 		case isa.FnJALR:
-			set(inst.Rd, ctx.PC+4)
-			next = reg(inst.Rs)
+			// Link first: with rd == rs the jump goes to the link value.
+			ctx.set(d.rd, ctx.PC+4)
+			next = r[d.rs]
 		case isa.FnSYSCALL:
 			m.charge(ctx, class)
 			ev := Event{Kind: EventSyscall, SyscallPC: ctx.PC}
@@ -225,41 +235,33 @@ func (m *Machine) Step(ctx *Context) Event {
 		}
 
 	case isa.OpADDI:
-		set(inst.Rt, reg(inst.Rs)+isa.Word(inst.Imm))
+		ctx.set(d.rt, r[d.rs]+isa.Word(d.imm))
 	case isa.OpSLTI:
-		if int32(reg(inst.Rs)) < inst.Imm {
-			set(inst.Rt, 1)
-		} else {
-			set(inst.Rt, 0)
-		}
+		ctx.set(d.rt, b2w(int32(r[d.rs]) < d.imm))
 	case isa.OpSLTIU:
-		if reg(inst.Rs) < isa.Word(inst.Imm) {
-			set(inst.Rt, 1)
-		} else {
-			set(inst.Rt, 0)
-		}
+		ctx.set(d.rt, b2w(r[d.rs] < isa.Word(d.imm)))
 	case isa.OpANDI:
-		set(inst.Rt, reg(inst.Rs)&inst.Uimm)
+		ctx.set(d.rt, r[d.rs]&d.uimm())
 	case isa.OpORI:
-		set(inst.Rt, reg(inst.Rs)|inst.Uimm)
+		ctx.set(d.rt, r[d.rs]|d.uimm())
 	case isa.OpXORI:
-		set(inst.Rt, reg(inst.Rs)^inst.Uimm)
+		ctx.set(d.rt, r[d.rs]^d.uimm())
 	case isa.OpLUI:
-		set(inst.Rt, inst.Uimm<<16)
+		ctx.set(d.rt, d.uimm()<<16)
 
 	case isa.OpLW:
-		addr := reg(inst.Rs) + isa.Word(inst.Imm)
-		v, f := m.Mem.LoadWord(addr)
+		addr := r[d.rs] + isa.Word(d.imm)
+		v, f := m.dtlb.load(m.Mem, addr)
 		if f != nil {
 			return Event{Kind: EventFault, Fault: f}
 		}
-		set(inst.Rt, v)
+		ctx.set(d.rt, v)
 		m.Stats.Loads++
 		m.coherent(addr, false)
 
 	case isa.OpSW:
-		addr := reg(inst.Rs) + isa.Word(inst.Imm)
-		if f := m.Mem.StoreWord(addr, reg(inst.Rt)); f != nil {
+		addr := r[d.rs] + isa.Word(d.imm)
+		if f := m.Mem.StoreWord(addr, r[d.rt]); f != nil {
 			return Event{Kind: EventFault, Fault: f}
 		}
 		m.Stats.Stores++
@@ -269,50 +271,50 @@ func (m *Machine) Step(ctx *Context) Event {
 		ctx.LockActive = false
 
 	case isa.OpBEQ:
-		if reg(inst.Rs) == reg(inst.Rt) {
-			next = branchTarget(ctx.PC, inst.Imm)
+		if r[d.rs] == r[d.rt] {
+			next = branchTarget(ctx.PC, d.imm)
 		}
 	case isa.OpBNE:
-		if reg(inst.Rs) != reg(inst.Rt) {
-			next = branchTarget(ctx.PC, inst.Imm)
+		if r[d.rs] != r[d.rt] {
+			next = branchTarget(ctx.PC, d.imm)
 		}
 	case isa.OpBLEZ:
-		if int32(reg(inst.Rs)) <= 0 {
-			next = branchTarget(ctx.PC, inst.Imm)
+		if int32(r[d.rs]) <= 0 {
+			next = branchTarget(ctx.PC, d.imm)
 		}
 	case isa.OpBGTZ:
-		if int32(reg(inst.Rs)) > 0 {
-			next = branchTarget(ctx.PC, inst.Imm)
+		if int32(r[d.rs]) > 0 {
+			next = branchTarget(ctx.PC, d.imm)
 		}
 
 	case isa.OpJ:
-		next = inst.Targ << 2
+		next = d.targ() << 2
 	case isa.OpJAL:
-		set(isa.RegRA, ctx.PC+4)
-		next = inst.Targ << 2
+		ctx.set(isa.RegRA, ctx.PC+4)
+		next = d.targ() << 2
 
 	case isa.OpTAS, isa.OpXCHG, isa.OpFAA:
 		if !m.Profile.HasInterlocked {
 			return m.illegal(ctx)
 		}
-		addr := reg(inst.Rs) + isa.Word(inst.Imm)
+		addr := r[d.rs] + isa.Word(d.imm)
 		old, f := m.Mem.LoadWord(addr)
 		if f != nil {
 			return Event{Kind: EventFault, Fault: f}
 		}
 		var nw isa.Word
-		switch inst.Op {
+		switch d.op {
 		case isa.OpTAS:
 			nw = 1
 		case isa.OpXCHG:
-			nw = reg(inst.Rt)
+			nw = r[d.rt]
 		case isa.OpFAA:
 			nw = old + 1
 		}
 		if f := m.Mem.StoreWord(addr, nw); f != nil {
 			return Event{Kind: EventFault, Fault: f}
 		}
-		set(inst.Rt, old)
+		ctx.set(d.rt, old)
 		m.Stats.Interlocked++
 		m.coherent(addr, true)
 
@@ -320,12 +322,12 @@ func (m *Machine) Step(ctx *Context) Event {
 		if !m.Profile.HasLLSC {
 			return m.illegal(ctx)
 		}
-		addr := reg(inst.Rs) + isa.Word(inst.Imm)
-		v, f := m.Mem.LoadWord(addr)
+		addr := r[d.rs] + isa.Word(d.imm)
+		v, f := m.dtlb.load(m.Mem, addr)
 		if f != nil {
 			return Event{Kind: EventFault, Fault: f}
 		}
-		set(inst.Rt, v)
+		ctx.set(d.rt, v)
 		m.Stats.Loads++
 		m.resValid, m.resAddr = true, addr
 		m.coherent(addr, false)
@@ -334,24 +336,24 @@ func (m *Machine) Step(ctx *Context) Event {
 		if !m.Profile.HasLLSC {
 			return m.illegal(ctx)
 		}
-		addr := reg(inst.Rs) + isa.Word(inst.Imm)
+		addr := r[d.rs] + isa.Word(d.imm)
 		if m.resValid && m.resAddr == addr {
-			if f := m.Mem.StoreWord(addr, reg(inst.Rt)); f != nil {
+			if f := m.Mem.StoreWord(addr, r[d.rt]); f != nil {
 				return Event{Kind: EventFault, Fault: f}
 			}
 			m.Stats.Stores++
-			set(inst.Rt, 1)
+			ctx.set(d.rt, 1)
 			m.coherent(addr, true)
 			m.writeBuffer()
 			// Like sw, a successful sc ends an i860 sequence.
 			ctx.LockActive = false
 		} else {
-			set(inst.Rt, 0)
+			ctx.set(d.rt, 0)
 		}
 		m.resValid = false
 
 	case isa.OpFLUSH:
-		addr := reg(inst.Rs) + isa.Word(inst.Imm)
+		addr := r[d.rs] + isa.Word(d.imm)
 		if _, f := m.Mem.FlushLine(addr); f != nil {
 			return Event{Kind: EventFault, Fault: f}
 		}
@@ -383,6 +385,21 @@ func (m *Machine) Step(ctx *Context) Event {
 	m.charge(ctx, class)
 	ctx.PC = next
 	return Event{Kind: EventNone}
+}
+
+// set writes register r; writes to the zero register are discarded.
+func (c *Context) set(r uint8, v isa.Word) {
+	if r != isa.RegZero {
+		c.Regs[r] = v
+	}
+}
+
+// b2w is a comparison's result as a register value.
+func b2w(b bool) isa.Word {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // writeBuffer models a write-through cache's store buffer (§5.1): each

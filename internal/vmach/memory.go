@@ -6,6 +6,7 @@ package vmach
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/isa"
 )
@@ -73,13 +74,28 @@ type Memory struct {
 	// watchers, keyed by word address, observe committed stores. Harness
 	// state, not machine state: snapshots do not capture them.
 	watchers map[uint32][]func(old, new isa.Word)
+
+	// gen names the current page pointers and presence bits. SetPresent
+	// and Restore, the only calls that can make either stale, draw a new
+	// one; the machines' one-entry TLBs (fetch.go) hit only while it is
+	// unchanged. text is the predecoded program text at textBase, filled
+	// lazily and tag-checked on every fetch. Both are host-side caches:
+	// no image carries them.
+	gen      uint64
+	textBase uint32
+	text     []decoded
 }
+
+// generations hands out Memory.gen values, unique across all memories,
+// so a TLB entry can never hit against a memory it was not filled from.
+var generations atomic.Uint64
 
 // NewMemory returns an empty memory.
 func NewMemory() *Memory {
 	return &Memory{
 		pages:      make(map[uint32]*[PageWords]isa.Word),
 		notPresent: make(map[uint32]bool),
+		gen:        generations.Add(1),
 	}
 }
 
@@ -97,6 +113,7 @@ func (m *Memory) page(addr uint32) *[PageWords]isa.Word {
 // (false). Accessing a not-present page raises FaultNotPresent; the page's
 // contents are preserved.
 func (m *Memory) SetPresent(addr uint32, present bool) {
+	m.gen = generations.Add(1)
 	pn := addr >> PageShift
 	if present {
 		delete(m.notPresent, pn)
@@ -123,10 +140,20 @@ func (m *Memory) check(addr uint32) *Fault {
 
 // LoadWord reads the word at addr.
 func (m *Memory) LoadWord(addr uint32) (isa.Word, *Fault) {
-	if f := m.check(addr); f != nil {
+	p, f := m.loadPage(addr)
+	if f != nil {
 		return 0, f
 	}
-	return m.page(addr)[addr>>2&(PageWords-1)], nil
+	return p[addr>>2&(PageWords-1)], nil
+}
+
+// loadPage is LoadWord's translation: it checks addr as a load and
+// returns the page holding it, allocating the page on first touch.
+func (m *Memory) loadPage(addr uint32) (*[PageWords]isa.Word, *Fault) {
+	if f := m.check(addr); f != nil {
+		return nil, f
+	}
+	return m.page(addr), nil
 }
 
 // StoreWord writes the word at addr.

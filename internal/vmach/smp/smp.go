@@ -128,9 +128,10 @@ func (s *System) ThreadAliveG(gtid int) bool {
 }
 
 // Load copies an assembled program into the shared memory (once: every
-// CPU sees it).
+// CPU sees it) and predecodes its text.
 func (s *System) Load(p *asm.Program) {
 	s.Mem.LoadProgramWords(p.TextBase, p.Text)
+	s.Mem.PredecodeText(p.TextBase, len(p.Text))
 	s.Mem.LoadProgramWords(p.DataBase, p.Data)
 }
 

@@ -241,3 +241,28 @@ func TestBudgetVerdict(t *testing.T) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
 }
+
+// TestEvictionInvalidatesOtherCPUsTLB: the CPUs share one memory, so a
+// code page evicted through CPU 0 must fault on CPU 1's next fetch even
+// though CPU 1's fetch TLB still names that page.
+func TestEvictionInvalidatesOtherCPUsTLB(t *testing.T) {
+	s, _ := buildCounter(Config{CPUs: 2}, guest.SMPHybrid, 1, 1000)
+	for i := 0; i < 50; i++ {
+		if s.StepRound() {
+			t.Fatal("finished early")
+		}
+	}
+	cur := s.CPUs[1].Current()
+	if cur == nil {
+		t.Fatal("CPU 1 has no running thread")
+	}
+	before := s.CPUs[1].Stats.PageFaults
+	s.CPUs[0].M.Mem.SetPresent(cur.Ctx.PC, false)
+	s.StepCPU(1)
+	if got := s.CPUs[1].Stats.PageFaults; got != before+1 {
+		t.Fatalf("CPU 1 page faults %d -> %d, want one fault on its next fetch", before, got)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -67,6 +67,7 @@ func (m *Memory) Capture() *MemoryImage {
 // Restore replaces the memory's contents with the image's. Watchpoints
 // registered on the memory survive a restore.
 func (m *Memory) Restore(img *MemoryImage) {
+	m.gen = generations.Add(1)
 	m.pages = make(map[uint32]*[PageWords]isa.Word, len(img.Pages))
 	for i := range img.Pages {
 		p := img.Pages[i].Words // copy: the image stays pristine
