@@ -1,8 +1,6 @@
 package mcheck
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -15,8 +13,6 @@ import (
 	"repro/internal/guest"
 	"repro/internal/journal"
 	"repro/internal/uniproc"
-	"repro/internal/vmach"
-	"repro/internal/vmach/kernel"
 )
 
 // The journaling model family: the crash-consistent structures this
@@ -30,32 +26,9 @@ import (
 // ---------------------------------------------------------------------
 // vmach: guest.JournalProgram under crashes at every persist boundary.
 
-// journalInstance is the persistInstance pattern for the guest journal:
-// a pausable vmach run where a crash is a transition — discard the
-// volatile tier (torn or clean, per the decision's action), audit the
-// surviving NVM image for recoverable consistency, and reboot the same
-// binary over it without reloading.
-type journalInstance struct {
-	prog *asm.Program
-	mem  *vmach.Memory
-	k    *kernel.Kernel
-	opt  Options
-	vio  *violations
-
-	ds   []Decision
-	next int
-
-	opsBase uint64
-	boots   int
-
-	jlog, applied, va, vb uint32
-	target                uint32
-
-	done   bool
-	ended  bool
-	runErr error
-}
-
+// journalModel crashes the guest journal under the rebootStepper, clean
+// or torn per the decision's action, and audits every NVM image a crash
+// leaves behind for recoverable consistency.
 func journalModel(p map[string]string) (Model, error) {
 	target, err := paramInt(p, "target")
 	if err != nil {
@@ -80,170 +53,48 @@ func journalModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: journal: %v", err)
 	}
-	m := &vmachModel{name: "journal", params: p, primary: primary, prog: prog}
-	m.build = func(m *vmachModel, ds []Decision, opt Options) (Instance, error) {
-		for _, d := range ds {
-			if d.Act != ActCrashVolatile && d.Act != ActCrashTorn {
-				return nil, fmt.Errorf("mcheck: journal: only crash decisions apply (got %s)", d.Act)
-			}
+	m := rebootModel(modelID{"journal", p, primary}, prog, true)
+	jlog, applied := prog.MustSymbol("jlog"), prog.MustSymbol("applied")
+	va, vb := prog.MustSymbol("va"), prog.MustSymbol("vb")
+	// checkNVM simulates the guest's own recovery decision over the NVM
+	// image and demands the recovered state is consistent: va == vb,
+	// within the target. This is the journal's core invariant — every
+	// reachable NVM image is one a reboot repairs.
+	checkNVM := func(in *instance, where string) {
+		mem := in.mem()
+		seq := uint32(mem.NVPeek(jlog))
+		xa := uint32(mem.NVPeek(jlog + 4))
+		xb := uint32(mem.NVPeek(jlog + 8))
+		ck := uint32(mem.NVPeek(jlog + 12))
+		ap := uint32(mem.NVPeek(applied))
+		a := uint32(mem.NVPeek(va))
+		b := uint32(mem.NVPeek(vb))
+		if guest.JournalCksum(seq, xa, xb) == ck && seq == ap+1 {
+			// A committed in-flight record: recovery re-stores its values
+			// (redo: news roll forward; undo: olds roll back).
+			a, b = xa, xb
 		}
-		mem := vmach.NewMemory()
-		mem.EnablePersistence()
-		in := &journalInstance{
-			prog: m.prog, mem: mem, opt: opt, vio: &violations{},
-			ds:      ds,
-			jlog:    m.prog.MustSymbol("jlog"),
-			applied: m.prog.MustSymbol("applied"),
-			va:      m.prog.MustSymbol("va"),
-			vb:      m.prog.MustSymbol("vb"),
-			target:  uint32(target),
+		if a != b {
+			in.vio.add("journal-consistency",
+				"%s: recovered state va=%d vb=%d — the words diverged and no durable record repairs them", where, a, b)
 		}
-		in.boot()
-		return in, nil
+		if a > uint32(target) {
+			in.vio.add("journal-consistency", "%s: recovered va=%d exceeds target %d", where, a, target)
+		}
+	}
+	m.crash = func(in *instance, d Decision) {
+		discard(in.mem(), d)
+		checkNVM(in, fmt.Sprintf("crash at persist op %d", d.At))
+	}
+	m.finish = func(in *instance) {
+		a, b := uint32(in.mem().Peek(va)), uint32(in.mem().Peek(vb))
+		if a != uint32(target) || b != uint32(target) {
+			in.vio.add("journal-consistency", "final state va=%d vb=%d after boot %d, want both %d",
+				a, b, in.s.(*rebootStepper).boots+1, target)
+		}
+		checkNVM(in, "final NVM image")
 	}
 	return m, nil
-}
-
-// config is every boot's kernel, as in the persist model.
-func (in *journalInstance) config() kernel.Config {
-	return kernel.Config{
-		Strategy:  &kernel.Designated{},
-		CheckAt:   kernel.CheckAtResume,
-		Quantum:   modelQuantum,
-		MaxCycles: modelBudget,
-		Memory:    in.mem,
-	}
-}
-
-// Fork copies the paused kernel onto a memory of the fork's own and
-// carries the cursor and boot bookkeeping across.
-func (in *journalInstance) Fork(d Decision) Instance {
-	c := *in
-	c.ds = withDecision(in.ds, d)
-	c.vio = in.vio.clone()
-	c.mem = vmach.NewMemory()
-	c.k = forkKernel(in.k, c.config(), in.opt)
-	return &c
-}
-
-// boot starts a kernel over the shared (surviving) memory. Only the
-// first boot loads the image: recovery must read what the crash left.
-func (in *journalInstance) boot() {
-	k := newKernel(in.config(), in.opt)
-	in.k = k
-	if in.boots == 0 {
-		k.Load(in.prog)
-	}
-	k.Spawn(in.prog.MustSymbol("main"), guest.StackTop(0))
-}
-
-// cursor counts persist operations retired across all boots.
-func (in *journalInstance) cursor() uint64 {
-	return in.opsBase + in.k.M.Stats.Flushes + in.k.M.Stats.Fences
-}
-
-func (in *journalInstance) step() {
-	fin, err := in.k.StepOne()
-	if in.next < len(in.ds) && in.cursor() >= in.ds[in.next].At {
-		in.crash()
-		return
-	}
-	if fin {
-		in.done = true
-		in.runErr = err
-	}
-}
-
-// crash discards the volatile tier — torn write-backs when the decision
-// says so, the tear derived from the decision ordinal so a .sched
-// replays the exact same split — audits the NVM image left behind, and
-// reboots.
-func (in *journalInstance) crash() {
-	d := in.ds[in.next]
-	in.next++
-	in.opsBase += in.k.M.Stats.Flushes + in.k.M.Stats.Fences
-	if d.Act == ActCrashTorn {
-		in.mem.DiscardUnflushedTorn(d.At)
-	} else {
-		in.mem.DiscardUnflushed()
-	}
-	in.checkNVM(fmt.Sprintf("crash at persist op %d", d.At))
-	in.boots++
-	in.boot()
-}
-
-// checkNVM simulates the guest's own recovery decision over the NVM
-// image and demands the recovered state is consistent: va == vb, within
-// the target. This is the journal's core invariant — every reachable
-// NVM image is one a reboot repairs.
-func (in *journalInstance) checkNVM(where string) {
-	seq := uint32(in.mem.NVPeek(in.jlog))
-	xa := uint32(in.mem.NVPeek(in.jlog + 4))
-	xb := uint32(in.mem.NVPeek(in.jlog + 8))
-	ck := uint32(in.mem.NVPeek(in.jlog + 12))
-	ap := uint32(in.mem.NVPeek(in.applied))
-	a := uint32(in.mem.NVPeek(in.va))
-	b := uint32(in.mem.NVPeek(in.vb))
-	if guest.JournalCksum(seq, xa, xb) == ck && seq == ap+1 {
-		// A committed in-flight record: recovery re-stores its values
-		// (redo: news roll forward; undo: olds roll back).
-		a, b = xa, xb
-	}
-	if a != b {
-		in.vio.add("journal-consistency",
-			"%s: recovered state va=%d vb=%d — the words diverged and no durable record repairs them", where, a, b)
-	}
-	if a > in.target {
-		in.vio.add("journal-consistency", "%s: recovered va=%d exceeds target %d", where, a, in.target)
-	}
-}
-
-func (in *journalInstance) RunTo(at uint64) bool {
-	for !in.done && in.cursor() < at {
-		in.step()
-	}
-	return in.done
-}
-
-func (in *journalInstance) RunToEnd() {
-	for !in.done {
-		in.step()
-	}
-	if in.ended {
-		return
-	}
-	in.ended = true
-	switch err := in.runErr; {
-	case err == nil:
-	case errors.Is(err, kernel.ErrDeadlock):
-		in.vio.add("deadlock", "%v", err)
-	case errors.Is(err, kernel.ErrLivelock):
-		in.vio.add("restart-livelock", "%v", err)
-	case errors.Is(err, kernel.ErrBudget):
-		in.vio.add("budget", "%v", err)
-	default:
-		in.vio.add("abort", "%v", err)
-	}
-	a, b := uint32(in.mem.Peek(in.va)), uint32(in.mem.Peek(in.vb))
-	if a != in.target || b != in.target {
-		in.vio.add("journal-consistency", "final state va=%d vb=%d after boot %d, want both %d",
-			a, b, in.boots+1, in.target)
-	}
-	in.checkNVM("final NVM image")
-}
-
-func (in *journalInstance) Cursor() uint64          { return in.cursor() }
-func (in *journalInstance) Violations() []Violation { return in.vio.list }
-
-// StateHash extends the canonical kernel hash exactly as the persist
-// model does: the cursor, the decision index, and the boot count are
-// behavioral state the normalized kernel image doesn't carry.
-func (in *journalInstance) StateHash() ([32]byte, bool) {
-	h := hashKernel(in.k)
-	var extra [16]byte
-	binary.LittleEndian.PutUint64(extra[:8], in.cursor())
-	binary.LittleEndian.PutUint64(extra[8:], uint64(in.next)|uint64(in.boots)<<32)
-	return sha256.Sum256(append(h[:], extra[:]...)), true
 }
 
 // ---------------------------------------------------------------------
@@ -304,7 +155,7 @@ func memfsJournalModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: memfs-journal: %v", err)
 	}
-	m := &uniModel{name: "memfs-journal", params: p, primary: primary}
+	m := &uniModel{modelID: modelID{"memfs-journal", p, primary}}
 	m.run = func(ds []Decision, opt Options, vio *violations) uint64 {
 		arena := make([]uniproc.Word, jfsArenaWords)
 		var cum uint64
@@ -479,7 +330,7 @@ func pstructModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: pstruct: %v", err)
 	}
-	m := &uniModel{name: "pstruct", params: p, primary: primary}
+	m := &uniModel{modelID: modelID{"pstruct", p, primary}}
 	m.run = func(ds []Decision, opt Options, vio *violations) uint64 {
 		arena := make([]uniproc.Word, pstructArenaWords(kind))
 		var cum uint64

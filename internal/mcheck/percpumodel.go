@@ -1,7 +1,6 @@
 package mcheck
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/asm"
@@ -54,7 +53,7 @@ func percpuQueueModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &uniModel{name: "percpu-queue", params: p, primary: ActPreempt}
+	m := &uniModel{modelID: modelID{"percpu-queue", p, ActPreempt}}
 	m.run = func(ds []Decision, opt Options, vio *violations) uint64 {
 		proc := uniproc.New(uniproc.Config{
 			Quantum:   1 << 40,
@@ -144,14 +143,14 @@ func percpuFreeListModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: percpu-freelist: %v", err)
 	}
-	m := &vmachModel{name: "percpu-freelist", params: p, primary: ActPreempt, prog: prog,
-		strategy: func() kernel.Strategy {
+	m := kernelModel(modelID{"percpu-freelist", p, ActPreempt},
+		func() kernel.Strategy {
 			if variant == "ras" {
 				return kernel.NewMultiRegistration()
 			}
 			return nil
 		},
-		setup: func(k *kernel.Kernel) error {
+		func(k *kernel.Kernel) error {
 			k.Load(prog)
 			if variant == "ras" {
 				for _, r := range guest.FreeListSequenceRanges(prog) {
@@ -165,56 +164,46 @@ func percpuFreeListModel(p map[string]string) (Model, error) {
 					isa.Word(iters), isa.Word(w+1))
 			}
 			return nil
-		},
-	}
+		})
 	head := prog.MustSymbol("fhead")
-	m.watch = func(in *vmachInstance) {
+	m.watch = func(in *instance) {
 		// One watchpoint per node's owner word: a stamp over a live tag is
 		// a double allocation.
 		for i := 0; i < nodes; i++ {
 			node := i
-			in.k.M.Mem.Watch(prog.MustSymbol(guest.FreeListNodeLabel(i))+4, func(old, new isa.Word) {
+			in.mem().Watch(prog.MustSymbol(guest.FreeListNodeLabel(i))+4, func(old, new isa.Word) {
 				if old != 0 && new != 0 {
 					in.vio.add("double-alloc", "node %d stamped by owner %d while owner %d still holds it",
 						node, new, old)
 				}
 			})
 		}
+	}
+	m.finish = func(in *instance) {
 		if hasAct(in.ds, ActKill) {
 			return // a killed holder legitimately leaks its node
 		}
-		in.finish = func() {
-			// Every node must be back on the list, reachable exactly once.
-			mem := in.k.M.Mem
-			count := 0
-			for at := mem.Peek(head); at != 0 && count <= nodes; at = mem.Peek(uint32(at)) {
-				count++
-			}
-			if count != nodes {
-				in.vio.add("free-list", "%d of %d nodes reachable from fhead after all workers exited",
-					count, nodes)
-			}
+		// Every node must be back on the list, reachable exactly once.
+		mem := in.mem()
+		count := 0
+		for at := mem.Peek(head); at != 0 && count <= nodes; at = mem.Peek(uint32(at)) {
+			count++
+		}
+		if count != nodes {
+			in.vio.add("free-list", "%d of %d nodes reachable from fhead after all workers exited",
+				count, nodes)
 		}
 	}
 	return m, nil
 }
 
-// percpuServerModel checks guest.ServerProgram on the SMP system. The
-// decision ordinal space is scheduler steps; an ActPreempt decision is
-// rendered into every CPU's kernel injector (firing at that CPU's own
-// step ordinal), and an ActSwitch decision rotates the cross-CPU
-// interleaving as in smp-counter. The end-state invariant is exact
-// request accounting: served must equal cpus*clients*iters.
-type percpuServerModel struct {
-	params  map[string]string
-	variant guest.ServerVariant
-	cpus    int
-	clients int
-	iters   int
-	prog    *asm.Program
-}
-
-func percpuServerModelBuild(p map[string]string) (Model, error) {
+// percpuServerModel checks guest.ServerProgram under the smpStepper. An
+// ActPreempt decision is rendered into every CPU's kernel injector
+// (firing at that CPU's own step ordinal), and an ActSwitch decision
+// rotates the cross-CPU interleaving as in smp-counter. The end-state
+// invariant is exact request accounting: served must equal
+// cpus*clients*iters.
+func percpuServerModel(p map[string]string) (Model, error) {
 	var variant guest.ServerVariant
 	switch p["variant"] {
 	case "percpu":
@@ -242,157 +231,50 @@ func percpuServerModelBuild(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: percpu-server: %v", err)
 	}
-	return &percpuServerModel{params: p, variant: variant,
-		cpus: cpus, clients: clients, iters: iters, prog: prog}, nil
-}
-
-func (m *percpuServerModel) Name() string              { return "percpu-server" }
-func (m *percpuServerModel) Params() map[string]string { return m.params }
-func (m *percpuServerModel) Primary() Action           { return ActPreempt }
-func (m *percpuServerModel) Pausable() bool            { return true }
-
-// config is the system config for a run forcing ds: an ActPreempt
-// decision is rendered into every CPU's kernel injector.
-func (m *percpuServerModel) config(ds []Decision) smp.Config {
-	inj := newInjector(chaos.PointStep, ds)
-	return smp.Config{
-		CPUs:        m.cpus,
-		Quantum:     modelQuantum,
-		MaxCycles:   smpBudget,
-		NewStrategy: kernel.MultiRegistrationStrategy,
-		Faults:      func(int) chaos.Injector { return inj },
+	// config is the system config for a run forcing ds.
+	config := func(ds []Decision) smp.Config {
+		inj := newInjector(chaos.PointStep, ds)
+		return smp.Config{
+			CPUs:        cpus,
+			Quantum:     modelQuantum,
+			MaxCycles:   smpBudget,
+			NewStrategy: kernel.MultiRegistrationStrategy,
+			Faults:      func(int) chaos.Injector { return inj },
+		}
 	}
-}
-
-func (m *percpuServerModel) New(ds []Decision, opt Options) (Instance, error) {
-	sys := smp.New(m.config(ds))
-	if opt.Tracer != nil {
-		sys.AttachTracer(opt.Tracer)
+	workerArg := clients
+	if variant == guest.ServerMutex {
+		workerArg = clients * cpus
 	}
-	sys.Load(m.prog)
-	if m.variant != guest.ServerMutex {
-		for _, k := range sys.CPUs {
-			for _, r := range guest.ServerSequenceRanges(m.prog) {
-				if err := k.RegisterSequence(0, r[0], r[1]); err != nil {
-					return nil, fmt.Errorf("mcheck: percpu-server: %v", err)
+	worker, client := prog.MustSymbol("worker"), prog.MustSymbol("client")
+	want := uint64(cpus * clients * iters)
+	return &pausableModel{
+		modelID: modelID{"percpu-server", p, ActPreempt},
+		start: func(in *instance) (stepper, error) {
+			sys := newSystem(config(in.ds), in.opt)
+			sys.Load(prog)
+			if variant != guest.ServerMutex {
+				for _, k := range sys.CPUs {
+					for _, r := range guest.ServerSequenceRanges(prog) {
+						if err := k.RegisterSequence(0, r[0], r[1]); err != nil {
+							return nil, fmt.Errorf("mcheck: percpu-server: %v", err)
+						}
+					}
 				}
 			}
-		}
-	}
-	workerArg := m.clients
-	if m.variant == guest.ServerMutex {
-		workerArg = m.clients * m.cpus
-	}
-	worker, client := m.prog.MustSymbol("worker"), m.prog.MustSymbol("client")
-	for cpu := 0; cpu < m.cpus; cpu++ {
-		sys.Spawn(cpu, worker, guest.StackTop(smp.GlobalID(cpu, 0)), isa.Word(workerArg))
-		for c := 0; c < m.clients; c++ {
-			sys.Spawn(cpu, client, guest.StackTop(smp.GlobalID(cpu, c+1)), isa.Word(m.iters))
-		}
-	}
-	return &percpuServerInstance{
-		m: m, opt: opt, sys: sys, vio: &violations{}, ds: ds,
-		want: uint64(m.cpus * m.clients * m.iters),
+			for cpu := 0; cpu < cpus; cpu++ {
+				sys.Spawn(cpu, worker, guest.StackTop(smp.GlobalID(cpu, 0)), isa.Word(workerArg))
+				for c := 0; c < clients; c++ {
+					sys.Spawn(cpu, client, guest.StackTop(smp.GlobalID(cpu, c+1)), isa.Word(iters))
+				}
+			}
+			return &smpStepper{sys: sys, config: config, turnMax: smpTurn}, nil
+		},
+		finish: func(in *instance) {
+			served, _ := guest.ServerCounts(in.mem(), prog, variant, cpus)
+			if !hasAct(in.ds, ActKill) && served != want {
+				in.vio.add("served-exact", "served %d of %d submitted requests", served, want)
+			}
+		},
 	}, nil
-}
-
-type percpuServerInstance struct {
-	m     *percpuServerModel
-	opt   Options
-	sys   *smp.System
-	vio   *violations
-	ds    []Decision // sorted by At; next is ds[di]
-	di    int
-	cur   int    // CPU holding the interleaving
-	steps uint64 // global step ordinal: total StepCPU calls
-	turn  uint64 // steps since the interleaving last moved
-
-	want  uint64
-	done  bool
-	ended bool
-}
-
-// Fork copies the paused system under the fork's own injectors; the
-// model has no watchpoints.
-func (in *percpuServerInstance) Fork(d Decision) Instance {
-	c := *in
-	c.ds = withDecision(in.ds, d)
-	c.vio = in.vio.clone()
-	c.sys = forkSystem(in.sys, in.m.config(c.ds), in.opt)
-	return &c
-}
-
-func (in *percpuServerInstance) rotate() {
-	n := len(in.sys.CPUs)
-	for j := 1; j <= n; j++ {
-		c := (in.cur + j) % n
-		if !in.sys.Done(c) {
-			in.cur = c
-			break
-		}
-	}
-	in.turn = 0
-}
-
-func (in *percpuServerInstance) step() {
-	if in.sys.AllDone() {
-		in.done = true
-		return
-	}
-	if in.sys.Done(in.cur) || in.turn >= smpTurn {
-		in.rotate()
-	}
-	in.sys.StepCPU(in.cur)
-	in.steps++
-	in.turn++
-	for in.di < len(in.ds) && in.ds[in.di].At == in.steps {
-		if in.ds[in.di].Act == ActSwitch {
-			in.rotate()
-		}
-		in.di++
-	}
-	if in.sys.AllDone() {
-		in.done = true
-	}
-}
-
-func (in *percpuServerInstance) RunTo(at uint64) bool {
-	for !in.done && in.steps < at {
-		in.step()
-	}
-	return in.done
-}
-
-func (in *percpuServerInstance) RunToEnd() {
-	for !in.done {
-		in.step()
-	}
-	if in.ended {
-		return
-	}
-	in.ended = true
-	for c := range in.sys.CPUs {
-		err := in.sys.CPUVerdict(c)
-		switch {
-		case err == nil:
-		case errors.Is(err, kernel.ErrDeadlock):
-			in.vio.add("deadlock", "cpu%d: %v", c, err)
-		case errors.Is(err, kernel.ErrLivelock):
-			in.vio.add("restart-livelock", "cpu%d: %v", c, err)
-		case errors.Is(err, kernel.ErrBudget):
-			in.vio.add("budget", "cpu%d: %v", c, err)
-		default:
-			in.vio.add("abort", "cpu%d: %v", c, err)
-		}
-	}
-	served, _ := guest.ServerCounts(in.sys.Mem, in.m.prog, in.m.variant, in.m.cpus)
-	if !hasAct(in.ds, ActKill) && served != in.want {
-		in.vio.add("served-exact", "served %d of %d submitted requests", served, in.want)
-	}
-}
-
-func (in *percpuServerInstance) Cursor() uint64          { return in.steps }
-func (in *percpuServerInstance) Violations() []Violation { return in.vio.list }
-func (in *percpuServerInstance) StateHash() ([32]byte, bool) {
-	return hashSMP(in.sys, in.cur, in.turn), true
 }

@@ -1,61 +1,19 @@
 package mcheck
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"repro/internal/asm"
 	"repro/internal/guest"
 	"repro/internal/isa"
-	"repro/internal/vmach"
-	"repro/internal/vmach/kernel"
 )
 
-// The persist model: guest.PersistentCounterProgram on a memory with the
-// two-tier NVRAM persistence model enabled, checked against whole-machine
-// crashes that discard every unfenced line (chaos.Action.CrashVolatile
-// semantics) followed by a reboot of the same binary over the surviving
-// NVM contents.
-//
-// The decision ordinal space is NOT retired instructions but retired
-// persist operations — flushes plus fences, accumulated across reboots —
-// so an exhaustive K=1 walk is literally "crash at every flush boundary":
-// every state the protocol can leave in NVM is crashed into and must
-// recover. With K=2 the second crash can land inside recovery itself.
-//
-// Unlike the other vmach models the crash is not rendered as a chaos
-// injector: the instance itself discards the volatile tier, checks the
-// bounded-durability-loss invariant, and boots a fresh kernel over the
-// shared memory — a crash here is a transition the run continues through,
-// not a terminal event.
-type persistInstance struct {
-	prog *asm.Program
-	mem  *vmach.Memory
-	k    *kernel.Kernel
-	opt  Options
-	vio  *violations
-
-	ds   []Decision
-	next int // next decision to fire
-
-	// opsBase is the persist-op count retired by previous boots; the
-	// cursor is opsBase plus the current kernel's flush+fence tally.
-	opsBase uint64
-	boots   int
-
-	counterAddr, lockAddr uint32
-	// cStart is the surviving counter at the start of the current boot;
-	// the final counter must be exactly cStart + want.
-	cStart isa.Word
-	want   isa.Word
-
-	done   bool
-	ended  bool
-	runErr error
-}
-
+// The persist model: guest.PersistentCounterProgram under the
+// rebootStepper, checked against whole-machine crashes that discard
+// every unfenced line (chaos.Action.CrashVolatile semantics) followed by
+// a reboot of the same binary over the surviving NVM contents. Each
+// crash is audited for bounded durability loss; the final boot must
+// finish exactly what it started from with the lock free.
 func persistModel(p map[string]string) (Model, error) {
 	workers, iters, err := workerIters(p)
 	if err != nil {
@@ -74,199 +32,34 @@ func persistModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: persist: %v", err)
 	}
-	m := &vmachModel{name: "persist", params: p, primary: ActCrashVolatile, prog: prog}
-	m.build = func(m *vmachModel, ds []Decision, opt Options) (Instance, error) {
-		for _, d := range ds {
-			if d.Act != ActCrashVolatile {
-				return nil, fmt.Errorf("mcheck: persist: only crash-volatile decisions apply (got %s)", d.Act)
-			}
+	m := rebootModel(modelID{"persist", p, ActCrashVolatile}, prog, false)
+	lock, counter := prog.MustSymbol("lock"), prog.MustSymbol("counter")
+	want := isa.Word(workers * iters)
+	// The watchpoints sit on the stepper's memory, so they survive
+	// reboots; they extend the watchRME rules with the boot-time repair.
+	m.watch = func(in *instance) { watchRME(in, lock, counter, true) }
+	// The crash audit: at this persist boundary at most one increment
+	// may be volatile-only. in.base is what the next boot starts from.
+	m.crash = func(in *instance, d Decision) {
+		mem := in.mem()
+		vol, nvm := int64(mem.Peek(counter)), int64(mem.NVPeek(counter))
+		if vol-nvm > 1 {
+			in.vio.add("persist-loss",
+				"crash at persist op %d: counter is %d volatile but %d in NVM — %d increments lost, bound is 1",
+				d.At, vol, nvm, vol-nvm)
 		}
-		mem := vmach.NewMemory()
-		mem.EnablePersistence()
-		in := &persistInstance{
-			prog: m.prog, mem: mem, opt: opt, vio: &violations{},
-			ds:          ds,
-			counterAddr: m.prog.MustSymbol("counter"),
-			lockAddr:    m.prog.MustSymbol("lock"),
-			want:        isa.Word(workers * iters),
+		discard(mem, d)
+		in.base = mem.Peek(counter)
+	}
+	m.finish = func(in *instance) {
+		mem, boots := in.mem(), in.s.(*rebootStepper).boots
+		if got := mem.Peek(counter); got != in.base+want {
+			in.vio.add("counter-exact", "counter = %d after boot %d, want %d (%d survived + %d new)",
+				got, boots+1, in.base+want, in.base, want)
 		}
-		in.installWatchers()
-		in.boot()
-		return in, nil
+		if owner := mem.Peek(lock) & 0xFFFF; owner != 0 {
+			in.vio.add("lock-discipline", "lock still owned by %d after the final boot completed", owner)
+		}
 	}
 	return m, nil
-}
-
-// config is every boot's kernel: Taos-style recovery over the instance's
-// memory, the timer parked. Crashes are the instance's own transitions, so
-// no injector is installed.
-func (in *persistInstance) config() kernel.Config {
-	return kernel.Config{
-		Strategy:  &kernel.Designated{},
-		CheckAt:   kernel.CheckAtResume,
-		Quantum:   modelQuantum,
-		MaxCycles: modelBudget,
-		Memory:    in.mem,
-	}
-}
-
-// Fork copies the paused kernel onto a memory of the fork's own, which
-// the copy watches, and carries the cursor and boot bookkeeping across.
-func (in *persistInstance) Fork(d Decision) Instance {
-	c := *in
-	c.ds = withDecision(in.ds, d)
-	c.vio = in.vio.clone()
-	c.mem = vmach.NewMemory()
-	c.k = forkKernel(in.k, c.config(), in.opt)
-	c.installWatchers()
-	return &c
-}
-
-// boot starts a kernel over the shared (surviving) memory. Only the first
-// boot loads the program image: on a reboot the image is already durable
-// in NVM, and reloading would reset the very data words recovery reads.
-func (in *persistInstance) boot() {
-	k := newKernel(in.config(), in.opt)
-	in.k = k
-	if in.boots == 0 {
-		k.Load(in.prog)
-	}
-	k.Spawn(in.prog.MustSymbol("main"), guest.StackTop(0))
-	in.cStart = in.mem.Peek(in.counterAddr)
-}
-
-// cursor counts persist operations retired across all boots.
-func (in *persistInstance) cursor() uint64 {
-	return in.opsBase + in.k.M.Stats.Flushes + in.k.M.Stats.Fences
-}
-
-func (in *persistInstance) step() {
-	fin, err := in.k.StepOne()
-	// A persist op just retired the next decision's ordinal: crash here.
-	// Each instruction advances the cursor by at most one, so at most one
-	// decision can fire per step.
-	if in.next < len(in.ds) && in.cursor() >= in.ds[in.next].At {
-		in.crash()
-		return
-	}
-	if fin {
-		in.done = true
-		in.runErr = err
-	}
-}
-
-// crash is the CrashVolatile transition: check the bounded-durability-loss
-// invariant at this persist boundary, discard the volatile tier, reboot.
-func (in *persistInstance) crash() {
-	in.next++
-	vol := int64(in.mem.Peek(in.counterAddr))
-	nvm := int64(in.mem.NVPeek(in.counterAddr))
-	if vol-nvm > 1 {
-		in.vio.add("persist-loss",
-			"crash at persist op %d: counter is %d volatile but %d in NVM — %d increments lost, bound is 1",
-			in.cursor(), vol, nvm, vol-nvm)
-	}
-	in.opsBase += in.k.M.Stats.Flushes + in.k.M.Stats.Fences
-	in.mem.DiscardUnflushed()
-	in.boots++
-	in.boot()
-}
-
-func (in *persistInstance) RunTo(at uint64) bool {
-	for !in.done && in.cursor() < at {
-		in.step()
-	}
-	return in.done
-}
-
-func (in *persistInstance) RunToEnd() {
-	for !in.done {
-		in.step()
-	}
-	if in.ended {
-		return
-	}
-	in.ended = true
-	switch err := in.runErr; {
-	case err == nil:
-	case errors.Is(err, kernel.ErrDeadlock):
-		in.vio.add("deadlock", "%v", err)
-	case errors.Is(err, kernel.ErrLivelock):
-		in.vio.add("restart-livelock", "%v", err)
-	case errors.Is(err, kernel.ErrBudget):
-		in.vio.add("budget", "%v", err)
-	default:
-		in.vio.add("abort", "%v", err)
-	}
-	got := in.mem.Peek(in.counterAddr)
-	if want := in.cStart + in.want; got != want {
-		in.vio.add("counter-exact", "counter = %d after boot %d, want %d (%d survived + %d new)",
-			got, in.boots+1, want, in.cStart, in.want)
-	}
-	if owner := in.mem.Peek(in.lockAddr) & 0xFFFF; owner != 0 {
-		in.vio.add("lock-discipline", "lock still owned by %d after the final boot completed", owner)
-	}
-}
-
-func (in *persistInstance) Cursor() uint64          { return in.cursor() }
-func (in *persistInstance) Violations() []Violation { return in.vio.list }
-
-// StateHash extends the canonical kernel hash with the model's own
-// behavioral state: normalizeKernel zeroes machine stats — which is
-// exactly where the persist-op cursor lives — and two runs paused in
-// identical kernel states still differ if their remaining crash schedules
-// start at different ordinals or boot counts.
-func (in *persistInstance) StateHash() ([32]byte, bool) {
-	h := hashKernel(in.k)
-	var extra [16]byte
-	binary.LittleEndian.PutUint64(extra[:8], in.cursor())
-	binary.LittleEndian.PutUint64(extra[8:], uint64(in.next)|uint64(in.boots)<<32)
-	return sha256.Sum256(append(h[:], extra[:]...)), true
-}
-
-// installWatchers installs the recoverable-mutex watchpoints once per
-// instance, on its memory, so they survive reboots. They read the *current* kernel
-// through the instance, and extend the watchRME rules with the one
-// transition crash recovery adds: main (thread 0, alone) releasing a dead
-// owner's lock with the epoch bumped, before any worker exists.
-func (in *persistInstance) installWatchers() {
-	cur := func() int {
-		if t := in.k.Current(); t != nil {
-			return t.ID
-		}
-		return -1
-	}
-	in.mem.Watch(in.lockAddr, func(old, new isa.Word) {
-		me := cur()
-		oldOwner, newOwner := int(old&0xFFFF), int(new&0xFFFF)
-		oldEpoch, newEpoch := old>>16, new>>16
-		switch {
-		case oldOwner == 0 && newOwner != 0:
-			if newOwner != me+1 || newEpoch != oldEpoch {
-				in.vio.add("rme", "bad acquire %#x->%#x by t%d", old, new, me)
-			}
-		case oldOwner != 0 && newOwner == 0:
-			switch {
-			case oldOwner == me+1 && newEpoch == oldEpoch:
-				// Release by the owner.
-			case me == 0 && newEpoch == oldEpoch+1 && !in.k.ThreadAlive(oldOwner-1):
-				// Boot-time repair of a crashed boot's owner.
-			default:
-				in.vio.add("rme", "bad release/repair %#x->%#x by t%d", old, new, me)
-			}
-		case oldOwner != 0 && newOwner != 0:
-			if newOwner != me+1 || newEpoch != oldEpoch+1 {
-				in.vio.add("rme", "bad steal %#x->%#x by t%d", old, new, me)
-			}
-			if in.k.ThreadAlive(oldOwner - 1) {
-				in.vio.add("mutual-exclusion", "t%d stole the lock from live t%d", me, oldOwner-1)
-			}
-		}
-	})
-	in.mem.Watch(in.counterAddr, func(old, new isa.Word) {
-		lock := in.mem.Peek(in.lockAddr)
-		if me := cur(); int(lock&0xFFFF) != me+1 || new != old+1 {
-			in.vio.add("mutual-exclusion", "t%d incremented %d->%d with lock %#x", me, old, new, lock)
-		}
-	})
 }

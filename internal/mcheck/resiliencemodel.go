@@ -61,7 +61,7 @@ func resilienceModel(p map[string]string) (Model, error) {
 	default:
 		return nil, fmt.Errorf("mcheck: resilience: unknown kind %q", p["kind"])
 	}
-	m := &uniModel{name: "resilience", params: p, primary: prim}
+	m := &uniModel{modelID: modelID{"resilience", p, prim}}
 	m.run = func(ds []Decision, opt Options, vio *violations) uint64 {
 		ow := &offsetWorld{w: resilience.NewServerWorld(resilience.ServerWorldConfig{
 			Clients: clients,

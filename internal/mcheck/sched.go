@@ -87,6 +87,11 @@ func Parse(data []byte) (*Schedule, error) {
 		return nil, fmt.Errorf("mcheck: schedule has no model line")
 	}
 	sort.SliceStable(s.Decisions, func(i, j int) bool { return s.Decisions[i].At < s.Decisions[j].At })
+	for i := 1; i < len(s.Decisions); i++ {
+		if s.Decisions[i].At == s.Decisions[i-1].At {
+			return nil, fmt.Errorf("mcheck: two decisions at ordinal %d", s.Decisions[i].At)
+		}
+	}
 	return s, nil
 }
 

@@ -64,6 +64,8 @@ func TestSchedParseErrors(t *testing.T) {
 		{"bad-ordinal", "model counter\ndecision preempt x\n"},
 		{"garbage-line", "model counter\nwibble\n"},
 		{"bad-param", "model counter\nparam onlykey\n"},
+		{"duplicate-ordinal", "model persist\ndecision crash-volatile 3\ndecision crash-volatile 3\n"},
+		{"mixed-duplicate", "model counter\ndecision preempt 7\ndecision kill 7\n"},
 	} {
 		if _, err := Parse([]byte(tc.in)); err == nil {
 			t.Errorf("%s: Parse accepted %q", tc.name, tc.in)

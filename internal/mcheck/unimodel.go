@@ -16,16 +16,11 @@ import (
 // pruning. The ordinal space is PointMemOp: guest Load/Store operations.
 
 type uniModel struct {
-	name    string
-	params  map[string]string
-	primary Action
-	run     func(ds []Decision, opt Options, vio *violations) (cursor uint64)
+	modelID
+	run func(ds []Decision, opt Options, vio *violations) (cursor uint64)
 }
 
-func (m *uniModel) Name() string              { return m.name }
-func (m *uniModel) Params() map[string]string { return m.params }
-func (m *uniModel) Primary() Action           { return m.primary }
-func (m *uniModel) Pausable() bool            { return false }
+func (m *uniModel) Pausable() bool { return false }
 func (m *uniModel) New(ds []Decision, opt Options) (Instance, error) {
 	return &uniInstance{m: m, ds: ds, opt: opt, vio: &violations{}}, nil
 }
@@ -82,7 +77,7 @@ func uniCounterModel(p map[string]string) (Model, error) {
 	if sync != "ras" && sync != "none" {
 		return nil, fmt.Errorf("mcheck: uni-counter: unknown sync %q", sync)
 	}
-	m := &uniModel{name: "uni-counter", params: p, primary: ActPreempt}
+	m := &uniModel{modelID: modelID{"uni-counter", p, ActPreempt}}
 	m.run = func(ds []Decision, opt Options, vio *violations) uint64 {
 		proc := uniproc.New(uniproc.Config{
 			Quantum:   1 << 40,
@@ -131,7 +126,7 @@ func uniRMEModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &uniModel{name: "uni-rme", params: p, primary: ActKill}
+	m := &uniModel{modelID: modelID{"uni-rme", p, ActKill}}
 	m.run = func(ds []Decision, opt Options, vio *violations) uint64 {
 		proc := uniproc.New(uniproc.Config{
 			Quantum:   2000,

@@ -1,21 +1,16 @@
 package mcheck
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/asm"
-	"repro/internal/chaos"
 	"repro/internal/guest"
 	"repro/internal/isa"
 	"repro/internal/vmach/kernel"
 )
 
-// vmach-backed models. Every instance is a fresh kernel over the model's
-// pre-assembled program, with the schedule rendered as a chaos injector
-// at PointStep, the timer effectively disabled (the schedule is the only
-// scheduler), and a generous cycle budget as a safety net. The decision
-// ordinal space is kernel.Steps(): retired user instructions.
+// vmach-backed models: kernelModels over a pre-assembled program, run
+// by the kernelStepper with a generous cycle budget as a safety net.
 
 // modelQuantum pushes the timer past any bounded run, so the only
 // preemptions are the schedule's. modelBudget is the runaway net.
@@ -23,187 +18,6 @@ const (
 	modelQuantum = uint64(1) << 40
 	modelBudget  = uint64(20_000_000)
 )
-
-type vmachModel struct {
-	name    string
-	params  map[string]string
-	primary Action
-	prog    *asm.Program
-	// strategy returns a fresh recovery strategy for one instance (nil:
-	// none).
-	strategy func() kernel.Strategy
-	// setup loads the program and spawns the workload into a fresh
-	// kernel. Forks skip it: they restore a paused instance instead.
-	setup func(k *kernel.Kernel) error
-	// watch installs an instance's watchpoints and end-state check. New
-	// and Fork both call it, so every copy judges its own run.
-	watch func(in *vmachInstance)
-	// build, when set, replaces the hooks above with a model's own
-	// instance type (persist, journal).
-	build func(m *vmachModel, ds []Decision, opt Options) (Instance, error)
-}
-
-func (m *vmachModel) Name() string              { return m.name }
-func (m *vmachModel) Params() map[string]string { return m.params }
-func (m *vmachModel) Primary() Action           { return m.primary }
-func (m *vmachModel) Pausable() bool            { return true }
-func (m *vmachModel) New(ds []Decision, opt Options) (Instance, error) {
-	if m.build != nil {
-		return m.build(m, ds, opt)
-	}
-	in := &vmachInstance{m: m, opt: opt, ds: ds, vio: &violations{}, holder: -1}
-	in.k = newKernel(in.config(), opt)
-	if err := m.setup(in.k); err != nil {
-		return nil, err
-	}
-	m.watch(in)
-	return in, nil
-}
-
-type vmachInstance struct {
-	m   *vmachModel
-	opt Options
-	ds  []Decision
-	k   *kernel.Kernel
-	vio *violations
-	// holder and increments are the watchpoints' running state: the lock
-	// holder watchMutexCounter tracks and the increments watchRME counts.
-	holder     int
-	increments uint64
-
-	done   bool
-	ended  bool
-	runErr error
-	// finish applies the model's end-state invariants.
-	finish func()
-}
-
-// config is the standard model-checking kernel: the schedule's injector
-// installed (always, so step ordinals count), the timer parked.
-func (in *vmachInstance) config() kernel.Config {
-	return kernel.Config{
-		Strategy:  in.m.strategy(),
-		Quantum:   modelQuantum,
-		MaxCycles: modelBudget,
-		Faults:    newInjector(chaos.PointStep, in.ds),
-	}
-}
-
-// Fork copies the paused kernel under a kernel config and watchpoints of
-// the fork's own, and carries the watchpoints' state across.
-func (in *vmachInstance) Fork(d Decision) Instance {
-	c := *in
-	c.ds = withDecision(in.ds, d)
-	c.vio = in.vio.clone()
-	c.k = forkKernel(in.k, c.config(), in.opt)
-	c.finish = nil
-	in.m.watch(&c)
-	return &c
-}
-
-func (in *vmachInstance) step() {
-	fin, err := in.k.StepOne()
-	if fin {
-		in.done = true
-		in.runErr = err
-	}
-}
-
-func (in *vmachInstance) RunTo(at uint64) bool {
-	for !in.done && in.k.Steps() < at {
-		in.step()
-	}
-	return in.done
-}
-
-func (in *vmachInstance) RunToEnd() {
-	for !in.done {
-		in.step()
-	}
-	if in.ended {
-		return
-	}
-	in.ended = true
-	in.classify()
-	if in.finish != nil {
-		in.finish()
-	}
-}
-
-// classify folds the kernel's terminal error into the violation taxonomy.
-// A schedule with a crash decision ends in ErrMachineCrash by design.
-func (in *vmachInstance) classify() {
-	err := in.runErr
-	switch {
-	case err == nil:
-	case errors.Is(err, kernel.ErrDeadlock):
-		in.vio.add("deadlock", "%v", err)
-	case errors.Is(err, kernel.ErrLivelock):
-		in.vio.add("restart-livelock", "%v", err)
-	case errors.Is(err, kernel.ErrBudget):
-		in.vio.add("budget", "%v", err)
-	case errors.Is(err, kernel.ErrMachineCrash):
-		if !hasAct(in.ds, ActCrash) {
-			in.vio.add("crash", "%v", err)
-		}
-	default:
-		in.vio.add("abort", "%v", err)
-	}
-}
-
-func (in *vmachInstance) Cursor() uint64          { return in.k.Steps() }
-func (in *vmachInstance) Violations() []Violation { return in.vio.list }
-func (in *vmachInstance) StateHash() ([32]byte, bool) {
-	return hashKernel(in.k), true
-}
-
-// current is the running thread's ID, -1 between timeslices: whom a
-// watchpoint attributes a store to.
-func (in *vmachInstance) current() int {
-	if t := in.k.Current(); t != nil {
-		return t.ID
-	}
-	return -1
-}
-
-// counter reads the workload's counter word at the end of the run.
-func (in *vmachInstance) counter() isa.Word {
-	return in.k.M.Mem.Peek(in.m.prog.MustSymbol("counter"))
-}
-
-func hasAct(ds []Decision, a Action) bool {
-	for _, d := range ds {
-		if d.Act == a {
-			return true
-		}
-	}
-	return false
-}
-
-// newKernel builds a kernel from cfg with the harness tracer attached.
-func newKernel(cfg kernel.Config, opt Options) *kernel.Kernel {
-	k := kernel.New(cfg)
-	if opt.Tracer != nil {
-		k.Tracer = opt.Tracer
-	}
-	return k
-}
-
-// forkKernel copies a paused kernel into a fresh one built from cfg: the
-// restored snapshot plus the sticky halt a snapshot does not carry.
-func forkKernel(k *kernel.Kernel, cfg kernel.Config, opt Options) *kernel.Kernel {
-	c, err := kernel.Restore(cfg, k.Capture())
-	if err != nil {
-		// The fork's config names the strategy and profile the original
-		// was built with, so a restore cannot be refused.
-		panic(fmt.Sprintf("mcheck: fork: %v", err))
-	}
-	c.InheritHalt(k)
-	if opt.Tracer != nil {
-		c.Tracer = opt.Tracer
-	}
-	return c
-}
 
 // loadMain is the setup of workloads whose main thread spawns the rest.
 func loadMain(prog *asm.Program) func(k *kernel.Kernel) error {
@@ -218,9 +32,9 @@ func loadMain(prog *asm.Program) func(k *kernel.Kernel) error {
 // checkers on a lock/counter workload: ownership is tracked at the lock
 // word, and judged at the counter — the critical section's effect — so a
 // losing test-and-set harmlessly re-storing 1 does not false-positive.
-func (in *vmachInstance) watchMutexCounter() {
-	mem := in.k.M.Mem
-	mem.Watch(in.m.prog.MustSymbol("lock"), func(old, new isa.Word) {
+func watchMutexCounter(in *instance, lock, counter uint32) {
+	mem := in.mem()
+	mem.Watch(lock, func(old, new isa.Word) {
 		me := in.current()
 		switch {
 		case old == 0 && new != 0:
@@ -232,7 +46,7 @@ func (in *vmachInstance) watchMutexCounter() {
 			in.holder = -1
 		}
 	})
-	mem.Watch(in.m.prog.MustSymbol("counter"), func(old, new isa.Word) {
+	mem.Watch(counter, func(old, new isa.Word) {
 		me := in.current()
 		if me != in.holder {
 			in.vio.add("mutual-exclusion", "t%d stored counter %d->%d while t%d holds the lock", me, old, new, in.holder)
@@ -274,24 +88,19 @@ func counterModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: counter: %v", err)
 	}
-	m := &vmachModel{name: "counter", params: p, primary: ActPreempt, prog: prog,
-		strategy: func() kernel.Strategy {
-			strat, _ := strategyByName(counterStrategy(mech))
-			return strat
-		},
-		setup: loadMain(prog),
-	}
+	m := kernelModel(modelID{"counter", p, ActPreempt}, func() kernel.Strategy {
+		strat, _ := strategyByName(counterStrategy(mech))
+		return strat
+	}, loadMain(prog))
+	lock, counter := prog.MustSymbol("lock"), prog.MustSymbol("counter")
 	want := isa.Word(workers * iters)
-	m.watch = func(in *vmachInstance) {
-		in.watchMutexCounter()
-		kills := hasAct(in.ds, ActKill)
-		in.finish = func() {
-			switch got := in.counter(); {
-			case !kills && got != want:
-				in.vio.add("counter-exact", "counter = %d, want %d", got, want)
-			case kills && got > want:
-				in.vio.add("counter-exact", "counter = %d exceeds %d with kills", got, want)
-			}
+	m.watch = func(in *instance) { watchMutexCounter(in, lock, counter) }
+	m.finish = func(in *instance) {
+		switch got, kills := in.mem().Peek(counter), hasAct(in.ds, ActKill); {
+		case !kills && got != want:
+			in.vio.add("counter-exact", "counter = %d, want %d", got, want)
+		case kills && got > want:
+			in.vio.add("counter-exact", "counter = %d exceeds %d with kills", got, want)
 		}
 	}
 	return m, nil
@@ -333,9 +142,9 @@ func broken2storeModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: broken2store: %v", err)
 	}
-	m := &vmachModel{name: "broken2store", params: p, primary: ActPreempt, prog: prog,
-		strategy: func() kernel.Strategy { return kernel.NewMultiRegistration() },
-		setup: func(k *kernel.Kernel) error {
+	m := kernelModel(modelID{"broken2store", p, ActPreempt},
+		func() kernel.Strategy { return kernel.NewMultiRegistration() },
+		func(k *kernel.Kernel) error {
 			k.Load(prog)
 			lo, hi := prog.MustSymbol("bad_seq"), prog.MustSymbol("bad_end")
 			if err := k.VerifySequence(lo, hi-lo); err == nil {
@@ -346,15 +155,12 @@ func broken2storeModel(p map[string]string) (Model, error) {
 				k.Spawn(prog.MustSymbol("worker"), guest.StackTop(w), isa.Word(iters))
 			}
 			return nil
-		},
-	}
+		})
+	counter := prog.MustSymbol("counter")
 	want := isa.Word(workers * iters)
-	m.watch = func(in *vmachInstance) {
-		kills := hasAct(in.ds, ActKill)
-		in.finish = func() {
-			if got := in.counter(); got != want && !kills {
-				in.vio.add("counter-exact", "counter = %d, want %d (restart re-applied a committed store)", got, want)
-			}
+	m.finish = func(in *instance) {
+		if got := in.mem().Peek(counter); got != want && !hasAct(in.ds, ActKill) {
+			in.vio.add("counter-exact", "counter = %d, want %d (restart re-applied a committed store)", got, want)
 		}
 	}
 	return m, nil
@@ -376,28 +182,23 @@ func recoverableModel(p map[string]string) (Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mcheck: recoverable: %v", err)
 	}
-	m := &vmachModel{name: "recoverable", params: p, primary: ActKill, prog: prog,
-		strategy: func() kernel.Strategy {
-			strat, _ := strategyByName(p["strategy"])
-			return strat
-		},
-		setup: loadMain(prog),
-	}
+	m := kernelModel(modelID{"recoverable", p, ActKill}, func() kernel.Strategy {
+		strat, _ := strategyByName(p["strategy"])
+		return strat
+	}, loadMain(prog))
+	lock, counter := prog.MustSymbol("lock"), prog.MustSymbol("counter")
 	want := isa.Word(workers * iters)
-	m.watch = func(in *vmachInstance) {
-		in.watchRME()
-		kills := hasAct(in.ds, ActKill)
-		in.finish = func() {
-			got := in.counter()
-			if got != isa.Word(in.increments) {
-				in.vio.add("rme", "counter = %d but %d watched increments", got, in.increments)
-			}
-			if !kills && got != want {
-				in.vio.add("counter-exact", "counter = %d, want %d", got, want)
-			}
-			if kills && got > want {
-				in.vio.add("counter-exact", "counter = %d exceeds %d", got, want)
-			}
+	m.watch = func(in *instance) { watchRME(in, lock, counter, false) }
+	m.finish = func(in *instance) {
+		got, kills := in.mem().Peek(counter), hasAct(in.ds, ActKill)
+		if got != isa.Word(in.count) {
+			in.vio.add("rme", "counter = %d but %d watched increments", got, in.count)
+		}
+		if !kills && got != want {
+			in.vio.add("counter-exact", "counter = %d, want %d", got, want)
+		}
+		if kills && got > want {
+			in.vio.add("counter-exact", "counter = %d exceeds %d", got, want)
 		}
 	}
 	return m, nil
@@ -405,11 +206,13 @@ func recoverableModel(p map[string]string) (Model, error) {
 
 // watchRME installs the recoverable-mutex watchpoints on the owner+epoch
 // lock word (low 16 bits: owner thread ID + 1; high bits: steal epoch)
-// and the counter, which also counts the watched increments.
-func (in *vmachInstance) watchRME() {
-	mem := in.k.M.Mem
-	lockAddr := in.m.prog.MustSymbol("lock")
-	mem.Watch(lockAddr, func(old, new isa.Word) {
+// and the counter, which also counts the watched increments. With
+// bootRepair the lock may also go free the way crash recovery frees it:
+// main (thread 0, alone) releasing a dead owner's lock with the epoch
+// bumped, before any worker exists.
+func watchRME(in *instance, lock, counter uint32, bootRepair bool) {
+	mem := in.mem()
+	mem.Watch(lock, func(old, new isa.Word) {
 		me := in.current()
 		oldOwner, newOwner := int(old&0xFFFF), int(new&0xFFFF)
 		oldEpoch, newEpoch := old>>16, new>>16
@@ -419,23 +222,30 @@ func (in *vmachInstance) watchRME() {
 				in.vio.add("rme", "bad acquire %#x->%#x by t%d", old, new, me)
 			}
 		case oldOwner != 0 && newOwner == 0:
-			if oldOwner != me+1 || newEpoch != oldEpoch {
+			switch {
+			case oldOwner == me+1 && newEpoch == oldEpoch:
+				// Release by the owner.
+			case !bootRepair:
 				in.vio.add("rme", "bad release %#x->%#x by t%d", old, new, me)
+			case me == 0 && newEpoch == oldEpoch+1 && !in.kern().ThreadAlive(oldOwner-1):
+				// Boot-time repair of a crashed boot's owner.
+			default:
+				in.vio.add("rme", "bad release/repair %#x->%#x by t%d", old, new, me)
 			}
 		case oldOwner != 0 && newOwner != 0:
 			if newOwner != me+1 || newEpoch != oldEpoch+1 {
 				in.vio.add("rme", "bad steal %#x->%#x by t%d", old, new, me)
 			}
-			if in.k.ThreadAlive(oldOwner - 1) {
+			if in.kern().ThreadAlive(oldOwner - 1) {
 				in.vio.add("mutual-exclusion", "t%d stole the lock from live t%d", me, oldOwner-1)
 			}
 		}
 	})
-	mem.Watch(in.m.prog.MustSymbol("counter"), func(old, new isa.Word) {
-		in.increments++
-		lock := mem.Peek(lockAddr)
-		if me := in.current(); int(lock&0xFFFF) != me+1 || new != old+1 {
-			in.vio.add("mutual-exclusion", "t%d incremented %d->%d with lock %#x", me, old, new, lock)
+	mem.Watch(counter, func(old, new isa.Word) {
+		in.count++
+		w := mem.Peek(lock)
+		if me := in.current(); int(w&0xFFFF) != me+1 || new != old+1 {
+			in.vio.add("mutual-exclusion", "t%d incremented %d->%d with lock %#x", me, old, new, w)
 		}
 	})
 }
