@@ -12,6 +12,7 @@
 //	rasbench -table 2 -trace-out t2.json  # Perfetto trace of the runs
 //	rasbench -pin                # rewrite every pinned BENCH_*.json (make pin)
 //	rasbench -table server -cpuprofile cpu.out  # any run, profiled
+//	rasbench -table server -memprofile mem.out  # ... or its allocations
 //
 // The tables are bench.Tables; `rasbench -list` names them. Seeded sweeps
 // print one-line reproducers, replayable with -seed/-level (or, for the
@@ -44,6 +45,7 @@ type benchOpts struct {
 	traceOut     string // Chrome trace-event JSON of every run ("-" = stdout)
 	metrics      string // event-derived metrics dump ("-" = stdout)
 	cpuProf      string // Go CPU profile of the run
+	memProf      string // Go heap profile of the run
 	list         bool   // print the table catalog and exit
 	pin          bool   // rewrite every pinned BENCH file and exit
 }
@@ -69,6 +71,7 @@ func main() {
 	flag.StringVar(&o.metrics, "metrics", "", "write a plain-text metrics dump derived from the event stream (\"-\" = stdout)")
 	flag.StringVar(&o.cpus, "cpus", "", "comma-separated CPU counts for -table smp (default \"1,2,4\"), -table server (default \"1,2,4,8\"), and -table rmr (default \"1,2,3,4,6,8\")")
 	flag.StringVar(&o.cpuProf, "cpuprofile", "", "write a Go CPU profile of the run to this file")
+	flag.StringVar(&o.memProf, "memprofile", "", "write a Go heap profile of the run (every allocation) to this file")
 	flag.BoolVar(&o.list, "list", false, "print every table name with its description and BENCH file, and exit")
 	flag.BoolVar(&o.pin, "pin", false, "rewrite every pinned BENCH_*.json in the current directory from the default flags, and exit")
 	flag.Parse()
@@ -153,7 +156,7 @@ func runOpts(o benchOpts) (err error) {
 	if err != nil {
 		return err
 	}
-	stop, err := obs.StartCPUProfile(o.cpuProf)
+	stop, err := obs.StartProfiles(o.cpuProf, o.memProf)
 	if err != nil {
 		return err
 	}

@@ -74,15 +74,21 @@ func TestRunUnknownTable(t *testing.T) {
 }
 
 func TestCPUProfile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cpu.out")
-	if err := runOpts(benchOpts{table: "1", iters: 500, scale: 1, cpuProf: path}); err != nil {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	if err := runOpts(benchOpts{table: "1", iters: 500, scale: 1, cpuProf: cpu, memProf: mem}); err != nil {
 		t.Fatal(err)
 	}
-	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
-		t.Errorf("no CPU profile written: %v", err)
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("no profile written to %s: %v", path, err)
+		}
 	}
-	bad := filepath.Join(t.TempDir(), "missing", "cpu.out")
+	bad := filepath.Join(dir, "missing", "prof.out")
 	if err := runOpts(benchOpts{table: "1", iters: 500, scale: 1, cpuProf: bad}); err == nil {
 		t.Error("unwritable -cpuprofile path accepted")
+	}
+	if err := runOpts(benchOpts{table: "1", iters: 500, scale: 1, memProf: bad}); err == nil {
+		t.Error("unwritable -memprofile path accepted")
 	}
 }

@@ -13,6 +13,7 @@
 //	rascheck -model counter -params mech=none  # explore one model
 //	rascheck -replay cex.sched [-trace-out t.json]
 //	rascheck -suite -cpuprofile cpu.out         # any run, profiled
+//	rascheck -suite -memprofile mem.out         # ... or its allocations
 //
 // Exit status: 0 when the outcome matches expectations (suite entries
 // carry their own expectation; a plain exploration expects a pass), 1 on
@@ -56,6 +57,7 @@ type config struct {
 	jsonOut  string
 	traceOut string
 	cpuProf  string
+	memProf  string
 }
 
 func run(args []string, out, errw io.Writer) int {
@@ -78,10 +80,11 @@ func run(args []string, out, errw io.Writer) int {
 	fs.StringVar(&c.jsonOut, "json", "", "write the report as JSON to this file")
 	fs.StringVar(&c.traceOut, "trace-out", "", "replay only: write a Chrome trace of the run")
 	fs.StringVar(&c.cpuProf, "cpuprofile", "", "write a Go CPU profile of the run to this file")
+	fs.StringVar(&c.memProf, "memprofile", "", "write a Go heap profile of the run (every allocation) to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	stop, err := obs.StartCPUProfile(c.cpuProf)
+	stop, err := obs.StartProfiles(c.cpuProf, c.memProf)
 	if err != nil {
 		fmt.Fprintln(errw, "rascheck:", err)
 		return 2

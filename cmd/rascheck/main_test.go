@@ -31,12 +31,21 @@ func TestList(t *testing.T) {
 }
 
 func TestCPUProfile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cpu.out")
-	if code, out, errw := runCLI(t, "-model", "counter", "-max-decisions", "1", "-cpuprofile", path); code != 0 {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	if code, out, errw := runCLI(t, "-model", "counter", "-max-decisions", "1", "-cpuprofile", cpu, "-memprofile", mem); code != 0 {
 		t.Fatalf("exit %d\n%s%s", code, out, errw)
 	}
-	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
-		t.Errorf("no CPU profile written: %v", err)
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("no profile written to %s: %v", path, err)
+		}
+	}
+	bad := filepath.Join(dir, "missing", "prof.out")
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		if code, _, _ := runCLI(t, "-model", "counter", "-max-decisions", "1", flag, bad); code != 2 {
+			t.Errorf("unwritable %s path: exit %d, want 2", flag, code)
+		}
 	}
 }
 

@@ -48,6 +48,7 @@
 //	                                                 # supervised crash-restart
 //	                                                 # campaign (TableResilience repro)
 //	rasvm -demo server -cpus 4 -cpuprofile cpu.out   # any run, profiled
+//	rasvm -demo server -cpus 4 -memprofile mem.out   # ... or its allocations
 //
 // Fault and recovery flags: -kill-at injects thread kills at the given
 // retired-instruction steps; -crash-at injects a whole-machine crash.
@@ -101,6 +102,7 @@ type options struct {
 	smpMode                 string // -demo qlock: RMR counting mode, cc or dsm
 	plan                    string // -demo resilience: one-line crash plan
 	cpuProf                 string // Go CPU profile of the run
+	memProf                 string // Go heap profile of the run
 	args                    []string
 	setFlags                map[string]bool // flags the user set explicitly
 }
@@ -142,6 +144,7 @@ func main() {
 	flag.StringVar(&o.smpMode, "mode", "cc", "-demo qlock: RMR counting mode: cc (cache-coherent) or dsm (distributed shared memory)")
 	flag.StringVar(&o.plan, "plan", "", "-demo resilience: one-line crash plan (crashplan:seed=...,point=...,span=...,crashes=...,mix=c:v:t); empty derives a default campaign")
 	flag.StringVar(&o.cpuProf, "cpuprofile", "", "write a Go CPU profile of the run to this file")
+	flag.StringVar(&o.memProf, "memprofile", "", "write a Go heap profile of the run (every allocation) to this file")
 	flag.Parse()
 	o.args = flag.Args()
 	o.setFlags = map[string]bool{}
@@ -160,7 +163,7 @@ func main() {
 }
 
 func run(o options) (err error) {
-	stop, err := obs.StartCPUProfile(o.cpuProf)
+	stop, err := obs.StartProfiles(o.cpuProf, o.memProf)
 	if err != nil {
 		return err
 	}

@@ -285,17 +285,24 @@ func TestDemoJournalNofenceTornIsInconsistent(t *testing.T) {
 }
 
 func TestCPUProfile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cpu.out")
+	dir := t.TempDir()
 	o := demo("registration", "registered", 500)
-	o.cpuProf = path
+	o.cpuProf, o.memProf = filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
-	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
-		t.Errorf("no CPU profile written: %v", err)
+	for _, path := range []string{o.cpuProf, o.memProf} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("no profile written to %s: %v", path, err)
+		}
 	}
-	o.cpuProf = filepath.Join(t.TempDir(), "missing", "cpu.out")
+	bad := filepath.Join(dir, "missing", "prof.out")
+	o.cpuProf, o.memProf = bad, ""
 	if err := run(o); err == nil {
 		t.Error("unwritable -cpuprofile path accepted")
+	}
+	o.cpuProf, o.memProf = "", bad
+	if err := run(o); err == nil {
+		t.Error("unwritable -memprofile path accepted")
 	}
 }

@@ -266,16 +266,16 @@ func newKernel(cfg kernel.Config, opt Options) *kernel.Kernel {
 	return k
 }
 
-// forkKernel copies a paused kernel into a fresh one built from cfg: the
-// restored snapshot plus the sticky halt a snapshot does not carry.
+// forkKernel copies a paused kernel into one built from cfg, over a
+// copy-on-write fork of its memory unless cfg names one, with the
+// harness tracer attached.
 func forkKernel(k *kernel.Kernel, cfg kernel.Config, opt Options) *kernel.Kernel {
-	c, err := kernel.Restore(cfg, k.Capture())
+	c, err := k.Fork(cfg)
 	if err != nil {
 		// The fork's config names the strategy and profile the original
-		// was built with, so a restore cannot be refused.
+		// was built with, so a fork cannot be refused.
 		panic(fmt.Sprintf("mcheck: fork: %v", err))
 	}
-	c.InheritHalt(k)
 	if opt.Tracer != nil {
 		c.Tracer = opt.Tracer
 	}
@@ -377,11 +377,11 @@ func (s *rebootStepper) runTo(in *instance, at uint64) bool {
 	return false
 }
 
-// fork copies the paused kernel onto a memory of the fork's own; the
-// cursor and boot bookkeeping come along with the struct.
+// fork copies the paused kernel onto a copy-on-write fork of its memory;
+// the cursor and boot bookkeeping come along with the struct.
 func (s *rebootStepper) fork(c *instance) stepper {
 	f := *s
-	f.mem = vmach.NewMemory()
+	f.mem = s.mem.Fork()
 	f.k = forkKernel(s.k, f.config(), c.opt)
 	return &f
 }

@@ -2,6 +2,8 @@ package kernel
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/isa"
@@ -144,12 +146,60 @@ func (k *Kernel) capture(m *vmach.MachineImage) *Snapshot {
 	return s
 }
 
-// InheritHalt copies from's sticky halt — a watchdog abort or an injected
-// crash that ends the run at its next step — which a Snapshot does not
-// carry. Restore of from's Capture followed by InheritHalt is an exact
-// fork of from: the copy ends where the original would.
-func (k *Kernel) InheritHalt(from *Kernel) {
-	k.livelock, k.crashed = from.livelock, from.crashed
+// Fork returns an exact copy of the kernel built from cfg: the copy runs
+// on from the same state and ends where the original would, sticky halt
+// (a watchdog abort or an injected crash pending its next step) included,
+// which a Snapshot does not carry. Memory is shared copy-on-write rather
+// than copied: the copy runs over cfg.Memory, which must be a fork of the
+// kernel's memory (vmach.Memory.Fork), or over a new fork when it is nil.
+// As with Restore, cfg must name the kernel's strategy and profile, and
+// supplies the harness wiring: tracer, injector, watchdog.
+func (k *Kernel) Fork(cfg Config) (*Kernel, error) {
+	cfg = defaulted(cfg)
+	if got := cfg.Strategy.Name(); got != k.Strategy.Name() {
+		return nil, fmt.Errorf("kernel: fork of a %q kernel with strategy %q", k.Strategy.Name(), got)
+	}
+	if cfg.Profile.Name != k.Profile.Name {
+		return nil, &vmach.RestoreError{Want: k.Profile.Name, Got: cfg.Profile.Name}
+	}
+	mem := cfg.Memory
+	if mem == nil {
+		mem = k.M.Mem.Fork()
+	}
+	c := newKernel(cfg, k.M.Fork(mem))
+	c.Quantum = k.Quantum
+	c.steps = k.steps
+	c.livelock, c.crashed = k.livelock, k.crashed
+	c.sliceAt = k.sliceAt
+	c.userHandler, c.hasUserHandler = k.userHandler, k.hasUserHandler
+	c.Stats = k.Stats
+	c.Console = slices.Clone(k.Console)
+	c.threads = make([]*Thread, len(k.threads))
+	for i, t := range k.threads {
+		ct := *t
+		c.threads[i] = &ct
+	}
+	// Threads are named by ID, their index in the table.
+	own := func(ts []*Thread) []*Thread {
+		out := make([]*Thread, len(ts))
+		for i, t := range ts {
+			out[i] = c.threads[t.ID]
+		}
+		return out
+	}
+	if k.cur != nil {
+		c.cur = c.threads[k.cur.ID]
+	}
+	c.runq = own(k.runq)
+	maps.Copy(c.rasBySpace, k.rasBySpace)
+	if mr, ok := k.Strategy.(*MultiRegistration); ok {
+		c.Strategy.(*MultiRegistration).ranges = slices.Clone(mr.ranges)
+	}
+	for addr, q := range k.waitq {
+		c.waitq[addr] = own(q)
+	}
+	c.blocked = k.blocked
+	return c, nil
 }
 
 // Restore builds a kernel from cfg and installs the snapshot's state into
@@ -158,13 +208,20 @@ func (k *Kernel) InheritHalt(from *Kernel) {
 // replay); tracers, death callbacks, and fault injectors come fresh from
 // cfg. A crash recorded at capture time is not part of the snapshot — the
 // restored kernel resumes as if the crash never happened, which is the
-// whole point.
+// whole point. A kernel restored over a memory cfg supplies (the shared
+// memory of an SMP complex) leaves that memory to its owner: the
+// snapshot's memory image, empty in a CaptureShared snapshot, is not
+// installed.
 func Restore(cfg Config, s *Snapshot) (*Kernel, error) {
 	k := New(cfg)
 	if got := k.Strategy.Name(); got != s.Strategy {
 		return nil, fmt.Errorf("kernel: snapshot captured under strategy %q, restored with %q", s.Strategy, got)
 	}
-	if err := k.M.Restore(s.Machine); err != nil {
+	restore := k.M.Restore
+	if cfg.Memory != nil {
+		restore = k.M.RestoreShared
+	}
+	if err := restore(s.Machine); err != nil {
 		return nil, err
 	}
 	k.Quantum = s.Quantum

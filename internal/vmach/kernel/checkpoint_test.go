@@ -157,9 +157,9 @@ func TestCrashCheckpointRestoreReplays(t *testing.T) {
 }
 
 // A crash injected at a step is sticky: the run ends at the next step.
-// A snapshot taken in between does not carry it, so a fork must inherit
-// it to end where the original does.
-func TestInheritHaltCarriesPendingCrash(t *testing.T) {
+// A snapshot taken in between does not carry it, so a restore runs on
+// past it; a fork carries it and ends where the original does.
+func TestForkCarriesPendingCrash(t *testing.T) {
 	crash := chaos.OneShot{Point: chaos.PointStep, N: 700, Action: chaos.Action{Crash: true}}
 	k := ckptBoot(t, crash)
 	for k.Steps() < 700 {
@@ -167,20 +167,18 @@ func TestInheritHaltCarriesPendingCrash(t *testing.T) {
 			t.Fatalf("run ended before the crash step: %v", err)
 		}
 	}
-	fork := func(inherit bool) error {
-		c, err := Restore(ckptConfig(nil), k.Capture())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if inherit {
-			c.InheritHalt(k)
-		}
-		return c.Run()
+	f, err := k.Fork(ckptConfig(nil))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := fork(true); !errors.Is(err, ErrMachineCrash) {
-		t.Errorf("fork with the inherited halt ran to %v, want ErrMachineCrash", err)
+	if err := f.Run(); !errors.Is(err, ErrMachineCrash) {
+		t.Errorf("fork ran to %v, want ErrMachineCrash", err)
 	}
-	if err := fork(false); err != nil {
+	r, err := Restore(ckptConfig(nil), k.Capture())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Run(); err != nil {
 		t.Errorf("plain restore ran to %v, want a clean finish", err)
 	}
 	if err := k.Run(); !errors.Is(err, ErrMachineCrash) {

@@ -348,7 +348,8 @@ func DecodeMemoryImage(data []byte) (*vmach.MemoryImage, error) {
 // pure function of its value: two equal snapshots encode to identical
 // bytes.
 func (s *Snapshot) Encode() []byte {
-	e := &encoder{}
+	// Room for all but the memory image, which grows the buffer itself.
+	e := &encoder{b: make([]byte, 0, 512+4*len(s.Console)+threadImageSize*len(s.Threads))}
 	e.b = append(e.b, checkpointMagic...)
 	e.u32(checkpointVersion)
 	e.str(s.Strategy)

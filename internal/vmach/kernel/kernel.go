@@ -260,6 +260,12 @@ type Kernel struct {
 
 // New creates a kernel and machine from cfg.
 func New(cfg Config) *Kernel {
+	cfg = defaulted(cfg)
+	return newKernel(cfg, vmach.NewWithMemory(cfg.Profile, cfg.Memory))
+}
+
+// defaulted fills every zero field of cfg with its default.
+func defaulted(cfg Config) Config {
 	if cfg.Profile == nil {
 		cfg.Profile = arch.R3000()
 	}
@@ -275,10 +281,15 @@ func New(cfg Config) *Kernel {
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 1 << 40
 	}
+	return cfg
+}
+
+// newKernel is a kernel built from a defaulted cfg over machine m.
+func newKernel(cfg Config, m *vmach.Machine) *Kernel {
 	return &Kernel{
 		rasBySpace:      make(map[int]rasRange),
 		waitq:           make(map[uint32][]*Thread),
-		M:               vmach.NewWithMemory(cfg.Profile, cfg.Memory),
+		M:               m,
 		CPUID:           cfg.CPUID,
 		Profile:         cfg.Profile,
 		Strategy:        cfg.Strategy,

@@ -339,11 +339,12 @@ func (r *lsBytes) inst(n int) isa.Word {
 	}
 }
 
-// lsSide is one half of the lockstep pair: two CPUs sharing a memory.
+// lsSide is one half of a lockstep pair: two CPUs sharing a memory.
 type lsSide struct {
 	mem  *Memory
 	cpus [2]*Machine
 	ctxs [2]Context
+	done [2]bool
 	step func(*Machine, *Context) Event
 
 	saved *lsImage
@@ -365,20 +366,49 @@ func (s *lsSide) capture() *lsImage {
 
 func (s *lsSide) restore(img *lsImage) {
 	for i, m := range s.cpus {
-		if err := m.Restore(img.cpus[i]); err != nil {
+		if err := m.RestoreShared(img.cpus[i]); err != nil {
 			panic(err)
 		}
 	}
-	s.mem.Restore(img.mem) // after the CPUs: each wiped it with an empty image
+	s.mem.Restore(img.mem)
 	s.ctxs = img.ctxs
 }
+
+// fork is the fast side's copy: a copy-on-write fork of the memory under
+// forks of both CPUs.
+func (s *lsSide) fork() *lsSide {
+	c := *s
+	c.mem = s.mem.Fork()
+	for i, m := range s.cpus {
+		c.cpus[i] = m.Fork(c.mem)
+	}
+	return &c
+}
+
+// deepCopy is the oracle side's copy: fresh machines over a fresh memory,
+// filled through Capture and Restore.
+func (s *lsSide) deepCopy() *lsSide {
+	c := *s
+	c.mem = NewMemory()
+	for i, m := range s.cpus {
+		c.cpus[i] = NewWithMemory(m.Profile, c.mem)
+	}
+	c.restore(s.capture())
+	return &c
+}
+
+// lsMaxPairs bounds the lockstep pairs a run forks into.
+const lsMaxPairs = 4
 
 // FuzzStepLockstep runs Step and stepOracle side by side on the same
 // generated program and the same interleaving of two CPUs, mixing in
 // what can leave a fetch cache stale: presence toggles, pokes into the
-// text, snapshot restores and volatile crashes. After every instruction
-// both sides must agree on the event, both contexts, both CPUs' stats and
-// the whole memory image.
+// text, snapshot restores and volatile crashes. A fork op splits a pair
+// into two: the fast side forks its memory copy-on-write, the oracle side
+// deep-copies it, and every later op lands on one pair or the other, so a
+// write that leaks through a shared page shows up as diverging memory.
+// After every op each pair's sides must agree on the event, both
+// contexts, both CPUs' stats and the whole memory image.
 func FuzzStepLockstep(f *testing.F) {
 	for p := range lsProfiles {
 		f.Add([]byte{byte(p), lsMaxInsts - 1})
@@ -411,15 +441,23 @@ func FuzzStepLockstep(f *testing.F) {
 			}
 			return s
 		}
-		sides := [2]*lsSide{
+		pairs := [][2]*lsSide{{
 			newSide(true, (*Machine).Step),
 			newSide(false, (*Machine).stepOracle),
-		}
+		}}
 		pages := [3]uint32{lsText, lsData, lsSpare}
+		allDone := func() bool {
+			for _, p := range pairs {
+				if !p[0].done[0] || !p[0].done[1] {
+					return false
+				}
+			}
+			return true
+		}
 
-		var done [2]bool
-		for step := 0; step < lsMaxSteps && !(done[0] && done[1]); step++ {
+		for step := 0; step < lsMaxSteps && !allDone(); step++ {
 			c := r.next()
+			sides := pairs[int(c>>5)%len(pairs)]
 			switch c % 16 {
 			case 0:
 				pg := pages[r.next()%3]
@@ -455,46 +493,55 @@ func FuzzStepLockstep(f *testing.F) {
 					s.cpus[0].ClearReservation()
 					s.cpus[1].ClearReservation()
 				}
+			case 7:
+				if len(pairs) < lsMaxPairs {
+					pairs = append(pairs, [2]*lsSide{sides[0].fork(), sides[1].deepCopy()})
+				}
 			}
 			cpu := int(c>>4) & 1
-			if done[cpu] {
+			if sides[0].done[cpu] {
 				cpu ^= 1
 			}
-			var evs [2]Event
-			for i, s := range sides {
-				evs[i] = s.step(s.cpus[cpu], &s.ctxs[cpu])
-			}
-			if a, b := byValue(evs[0]), byValue(evs[1]); a != b {
-				t.Fatalf("step %d cpu%d: event %+v, oracle %+v", step, cpu, a, b)
-			}
-			for i, s := range sides {
-				switch ev := evs[i]; ev.Kind {
-				case EventBreak:
-					done[cpu] = true
-				case EventFault:
-					if ev.Fault.Kind == FaultNotPresent {
-						s.mem.SetPresent(ev.Fault.Addr, true)
-					} else {
-						s.ctxs[cpu].PC += 4
+			if !sides[0].done[cpu] {
+				var evs [2]Event
+				for i, s := range sides {
+					evs[i] = s.step(s.cpus[cpu], &s.ctxs[cpu])
+				}
+				if a, b := byValue(evs[0]), byValue(evs[1]); a != b {
+					t.Fatalf("step %d cpu%d: event %+v, oracle %+v", step, cpu, a, b)
+				}
+				for i, s := range sides {
+					switch ev := evs[i]; ev.Kind {
+					case EventBreak:
+						s.done[cpu] = true
+					case EventFault:
+						if ev.Fault.Kind == FaultNotPresent {
+							s.mem.SetPresent(ev.Fault.Addr, true)
+						} else {
+							s.ctxs[cpu].PC += 4
+						}
+					}
+					// A wild jump restarts the CPU at the top of the text,
+					// so that the run does not spin on faults or empty
+					// pages.
+					if pc := s.ctxs[cpu].PC; pc&3 != 0 || pc < lsText || pc >= lsSpare+PageSize {
+						s.ctxs[cpu].PC = lsText
 					}
 				}
-				// A wild jump restarts the CPU at the top of the text, so
-				// that the run does not spin on faults or empty pages.
-				if pc := s.ctxs[cpu].PC; pc&3 != 0 || pc < lsText || pc >= lsSpare+PageSize {
-					s.ctxs[cpu].PC = lsText
+			}
+			for pi, p := range pairs {
+				a, b := p[0], p[1]
+				if a.ctxs != b.ctxs {
+					t.Fatalf("step %d pair %d: contexts %+v, oracle %+v", step, pi, a.ctxs, b.ctxs)
 				}
-			}
-			a, b := sides[0], sides[1]
-			if a.ctxs != b.ctxs {
-				t.Fatalf("step %d cpu%d: contexts %+v, oracle %+v", step, cpu, a.ctxs, b.ctxs)
-			}
-			for i := range a.cpus {
-				if a.cpus[i].Stats != b.cpus[i].Stats {
-					t.Fatalf("step %d: cpu%d stats %+v, oracle %+v", step, i, a.cpus[i].Stats, b.cpus[i].Stats)
+				for i := range a.cpus {
+					if a.cpus[i].Stats != b.cpus[i].Stats {
+						t.Fatalf("step %d pair %d: cpu%d stats %+v, oracle %+v", step, pi, i, a.cpus[i].Stats, b.cpus[i].Stats)
+					}
 				}
-			}
-			if !sameImage(a.mem.Capture(), b.mem.Capture()) {
-				t.Fatalf("step %d cpu%d: memory images differ", step, cpu)
+				if !sameImage(a.mem.Capture(), b.mem.Capture()) {
+					t.Fatalf("step %d pair %d: memory images differ", step, pi)
+				}
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package vmach
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/isa"
@@ -99,11 +100,12 @@ type Machine struct {
 	resValid bool
 	resAddr  uint32
 
-	// itlb and dtlb are one-entry TLBs for instruction fetch and data
-	// loads, and scratch holds the decode of a word fetched from outside
-	// the predecoded text (fetch.go): host-side caches, in no snapshot.
-	itlb, dtlb tlb
-	scratch    decoded
+	// itlb, dtlb and stlb are one-entry TLBs for instruction fetch, data
+	// loads and sw/sc stores, and scratch holds the decode of a word
+	// fetched from outside the predecoded text (fetch.go): host-side
+	// caches, in no snapshot.
+	itlb, dtlb, stlb tlb
+	scratch          decoded
 }
 
 // New creates a machine with fresh memory.
@@ -119,6 +121,20 @@ func NewWithMemory(p *arch.Profile, mem *Memory) *Machine {
 		mem = NewMemory()
 	}
 	return &Machine{Mem: mem, Profile: p}
+}
+
+// Fork returns a copy of the machine over mem, a fork of its memory: the
+// same profile, statistics, write-buffer queue and ll/sc reservation,
+// with no coherence hook and cold TLBs.
+func (m *Machine) Fork(mem *Memory) *Machine {
+	return &Machine{
+		Mem:      mem,
+		Profile:  m.Profile,
+		Stats:    m.Stats,
+		wb:       slices.Clone(m.wb),
+		resValid: m.resValid,
+		resAddr:  m.resAddr,
+	}
 }
 
 // ClearReservation invalidates the machine's ll/sc reservation (context
@@ -168,7 +184,7 @@ func (m *Machine) Step(ctx *Context) Event {
 	mem, pc := m.Mem, ctx.PC
 	var w isa.Word
 	if t := &m.itlb; pc&3 == 0 && pc>>PageShift == t.pn && t.gen == mem.gen {
-		w = t.page[pc>>2&(PageWords-1)]
+		w = t.page.w[pc>>2&(PageWords-1)]
 	} else {
 		var f *Fault
 		if w, f = t.refill(mem, pc); f != nil {
@@ -261,7 +277,7 @@ func (m *Machine) Step(ctx *Context) Event {
 
 	case isa.OpSW:
 		addr := r[d.rs] + isa.Word(d.imm)
-		if f := m.Mem.StoreWord(addr, r[d.rt]); f != nil {
+		if f := m.stlb.store(m.Mem, addr, r[d.rt]); f != nil {
 			return Event{Kind: EventFault, Fault: f}
 		}
 		m.Stats.Stores++
@@ -338,7 +354,7 @@ func (m *Machine) Step(ctx *Context) Event {
 		}
 		addr := r[d.rs] + isa.Word(d.imm)
 		if m.resValid && m.resAddr == addr {
-			if f := m.Mem.StoreWord(addr, r[d.rt]); f != nil {
+			if f := m.stlb.store(m.Mem, addr, r[d.rt]); f != nil {
 				return Event{Kind: EventFault, Fault: f}
 			}
 			m.Stats.Stores++

@@ -37,6 +37,7 @@ const (
 // already in memory (e.g. a loaded program image) are treated as durable.
 func (m *Memory) EnablePersistence() {
 	m.persist = true
+	m.gen = generations.Add(1) // stores must shadow from now on
 	if m.nvLines == nil {
 		m.nvLines = make(map[uint32]*[LineWords]isa.Word)
 		m.pending = make(map[uint32]bool)
@@ -54,7 +55,7 @@ func (m *Memory) shadow(addr uint32) {
 	if _, dirty := m.nvLines[line]; !dirty {
 		img := new([LineWords]isa.Word)
 		base := line << LineShift
-		copy(img[:], m.page(base)[base>>2&(PageWords-1):][:LineWords])
+		copy(img[:], m.page(base).w[base>>2&(PageWords-1):][:LineWords])
 		m.nvLines[line] = img
 	}
 	delete(m.pending, line)
@@ -102,7 +103,7 @@ func (m *Memory) DiscardUnflushed() int {
 	n := len(m.nvLines)
 	for line, img := range m.nvLines {
 		base := line << LineShift
-		copy(m.page(base)[base>>2&(PageWords-1):][:LineWords], img[:])
+		copy(m.writable(base).w[base>>2&(PageWords-1):][:LineWords], img[:])
 	}
 	clear(m.nvLines)
 	clear(m.pending)
@@ -127,7 +128,7 @@ func (m *Memory) DiscardUnflushedTorn(h uint64) int {
 			keep = int(splitmix(h^uint64(line)) % (LineWords + 1))
 		}
 		base := line << LineShift
-		mem := m.page(base)[base>>2&(PageWords-1):][:LineWords]
+		mem := m.writable(base).w[base>>2&(PageWords-1):][:LineWords]
 		torn := false
 		for i := keep; i < LineWords; i++ {
 			if mem[i] != img[i] {

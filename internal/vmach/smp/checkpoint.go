@@ -3,6 +3,7 @@ package smp
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/vmach"
 	"repro/internal/vmach/kernel"
@@ -56,17 +57,26 @@ func (s *System) Capture() *Snapshot {
 // Fork returns an independent copy of the system, built from cfg as
 // Restore builds it, that also carries the run state a Snapshot leaves
 // out: which CPUs have finished with what verdict, and each kernel's
-// sticky halt (kernel.InheritHalt). Harness wiring — tracers and memory
-// watchpoints — is the caller's to attach to the copy.
+// sticky halt (kernel.Kernel.Fork). The copy's memory is a copy-on-write
+// fork of the shared memory, so forking copies no page. Harness wiring —
+// tracers and memory watchpoints — is the caller's to attach to the copy.
 func (s *System) Fork(cfg Config) (*System, error) {
-	c, err := Restore(cfg, s.Capture())
-	if err != nil {
-		return nil, err
+	cfg.CPUs = len(s.CPUs)
+	cfg.Mode = s.Coh.mode
+	cfg.Costs = s.Coh.costs
+	cfg = defaultedConfig(cfg)
+	c := &System{
+		Mem:   s.Mem.Fork(),
+		Coh:   s.Coh.clone(),
+		done:  slices.Clone(s.done),
+		verds: slices.Clone(s.verds),
 	}
-	copy(c.done, s.done)
-	copy(c.verds, s.verds)
 	for i, k := range s.CPUs {
-		c.CPUs[i].InheritHalt(k)
+		ck, err := k.Fork(kernelConfig(cfg, i, c.Mem))
+		if err != nil {
+			return nil, fmt.Errorf("smp: cpu%d: %w", i, err)
+		}
+		c.attach(ck)
 	}
 	return c, nil
 }
@@ -86,32 +96,17 @@ func Restore(cfg Config, snap *Snapshot) (*System, error) {
 		done:  make([]bool, cfg.CPUs),
 		verds: make([]error, cfg.CPUs),
 	}
+	// The shared memory is restored once, here: a kernel restored over
+	// it leaves it alone.
+	s.Mem.Restore(snap.Mem)
+	s.Coh.restore(snap.Lines)
 	for i, ks := range snap.Kernels {
-		kcfg := kernel.Config{
-			Profile:   cfg.Profile,
-			Strategy:  cfg.NewStrategy(),
-			CheckAt:   cfg.CheckAt,
-			Quantum:   cfg.Quantum,
-			MaxCycles: cfg.MaxCycles,
-			Memory:    s.Mem,
-			CPUID:     i,
-			Watchdog:  cfg.Watchdog,
-		}
-		if cfg.Faults != nil {
-			kcfg.Faults = cfg.Faults(i)
-		}
-		k, err := kernel.Restore(kcfg, ks)
+		k, err := kernel.Restore(kernelConfig(cfg, i, s.Mem), ks)
 		if err != nil {
 			return nil, fmt.Errorf("smp: cpu%d: %w", i, err)
 		}
-		k.M.Coherence = s.Coh.attach(k.M)
-		k.PeerAlive = s.ThreadAliveG
-		s.CPUs = append(s.CPUs, k)
+		s.attach(k)
 	}
-	// The per-CPU restores each wiped the shared memory with their empty
-	// images; install the real contents (and the directory) last.
-	s.Mem.Restore(snap.Mem)
-	s.Coh.restore(snap.Lines)
 	return s, nil
 }
 

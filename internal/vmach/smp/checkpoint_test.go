@@ -142,3 +142,58 @@ func FuzzSMPCheckpoint(f *testing.F) {
 		}
 	})
 }
+
+// TestCOWCopyInvalidatesOtherCPUsTLB: CPU 1 spins loading a word until
+// it changes. The system is forked, so the parent no longer owns the
+// word's page, and CPU 1 spins on with the shared page in its load TLB.
+// CPU 0's store then copies the page; CPU 1 must drop the old page and
+// see the store, while the fork keeps the old value.
+func TestCOWCopyInvalidatesOtherCPUsTLB(t *testing.T) {
+	s := New(Config{CPUs: 2})
+	prog := guest.Assemble(`
+writer:	la   a0, x
+	li   t1, 5
+	sw   t1, 0(a0)
+	li   v0, 0
+	syscall
+reader:	la   a0, x
+spin:	lw   t0, 0(a0)
+	beq  t0, zero, spin
+	li   v0, 0
+	syscall
+	.data
+x:	.word 0
+`)
+	s.Load(prog)
+	s.Spawn(0, prog.MustSymbol("writer"), guest.StackTop(GlobalID(0, 0)))
+	s.Spawn(1, prog.MustSymbol("reader"), guest.StackTop(GlobalID(1, 0)))
+	for i := 0; i < 20; i++ {
+		if s.StepCPU(1) {
+			t.Fatal("reader finished before the store")
+		}
+	}
+	fork, err := s.Fork(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		s.StepCPU(1)
+	}
+	for i := 0; !s.StepCPU(0); i++ {
+		if i == 20 {
+			t.Fatal("writer did not finish")
+		}
+	}
+	for i := 0; !s.StepCPU(1); i++ {
+		if i == 20 {
+			t.Fatal("reader still spinning: its TLB kept the page the store copied")
+		}
+	}
+	x := prog.MustSymbol("x")
+	if got := fork.Mem.Peek(x); got != 0 {
+		t.Errorf("fork sees x = %d, want 0: the store leaked", got)
+	}
+	if err := s.Verdict(); err != nil {
+		t.Fatal(err)
+	}
+}

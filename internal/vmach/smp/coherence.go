@@ -197,6 +197,17 @@ func (c *Coherence) capture() []LineImage {
 	return img
 }
 
+// clone is a copy of the directory's lines, mode and costs, with no
+// machine attached.
+func (c *Coherence) clone() *Coherence {
+	n := &Coherence{mode: c.mode, costs: c.costs, lines: make(map[uint32]*line, len(c.lines))}
+	for ln, l := range c.lines {
+		cl := *l
+		n.lines[ln] = &cl
+	}
+	return n
+}
+
 // restore replaces the directory's contents with the image's.
 func (c *Coherence) restore(img []LineImage) {
 	c.lines = make(map[uint32]*line, len(img))

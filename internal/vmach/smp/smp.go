@@ -92,25 +92,36 @@ func New(cfg Config) *System {
 		verds: make([]error, cfg.CPUs),
 	}
 	for i := 0; i < cfg.CPUs; i++ {
-		kcfg := kernel.Config{
-			Profile:   cfg.Profile,
-			Strategy:  cfg.NewStrategy(),
-			CheckAt:   cfg.CheckAt,
-			Quantum:   cfg.Quantum,
-			MaxCycles: cfg.MaxCycles,
-			Memory:    s.Mem,
-			CPUID:     i,
-			Watchdog:  cfg.Watchdog,
-		}
-		if cfg.Faults != nil {
-			kcfg.Faults = cfg.Faults(i)
-		}
-		k := kernel.New(kcfg)
-		k.M.Coherence = s.Coh.attach(k.M)
-		k.PeerAlive = s.ThreadAliveG
-		s.CPUs = append(s.CPUs, k)
+		s.attach(kernel.New(kernelConfig(cfg, i, s.Mem)))
 	}
 	return s
+}
+
+// kernelConfig is CPU i's kernel config under the defaulted cfg, over the
+// shared memory mem.
+func kernelConfig(cfg Config, i int, mem *vmach.Memory) kernel.Config {
+	kcfg := kernel.Config{
+		Profile:   cfg.Profile,
+		Strategy:  cfg.NewStrategy(),
+		CheckAt:   cfg.CheckAt,
+		Quantum:   cfg.Quantum,
+		MaxCycles: cfg.MaxCycles,
+		Memory:    mem,
+		CPUID:     i,
+		Watchdog:  cfg.Watchdog,
+	}
+	if cfg.Faults != nil {
+		kcfg.Faults = cfg.Faults(i)
+	}
+	return kcfg
+}
+
+// attach wires the next CPU's kernel into the system: its coherence port
+// and the cross-CPU liveness oracle.
+func (s *System) attach(k *kernel.Kernel) {
+	k.M.Coherence = s.Coh.attach(k.M)
+	k.PeerAlive = s.ThreadAliveG
+	s.CPUs = append(s.CPUs, k)
 }
 
 // ThreadAliveG answers liveness for a global thread id (GlobalID

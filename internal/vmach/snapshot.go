@@ -1,6 +1,9 @@
 package vmach
 
 import (
+	"encoding/binary"
+	"hash"
+	"slices"
 	"sort"
 
 	"repro/internal/isa"
@@ -50,7 +53,7 @@ func (m *Memory) Capture() *MemoryImage {
 	img.Pages = make([]PageImage, len(pns))
 	for i, pn := range pns {
 		img.Pages[i].PN = pn
-		img.Pages[i].Words = *m.pages[pn]
+		img.Pages[i].Words = m.pages[pn].w
 	}
 	for pn := range m.notPresent {
 		img.NotPresent = append(img.NotPresent, pn)
@@ -68,10 +71,10 @@ func (m *Memory) Capture() *MemoryImage {
 // registered on the memory survive a restore.
 func (m *Memory) Restore(img *MemoryImage) {
 	m.gen = generations.Add(1)
-	m.pages = make(map[uint32]*[PageWords]isa.Word, len(img.Pages))
+	m.pages = make(map[uint32]*page, len(img.Pages))
 	for i := range img.Pages {
-		p := img.Pages[i].Words // copy: the image stays pristine
-		m.pages[img.Pages[i].PN] = &p
+		// A copy the memory owns: the image stays pristine.
+		m.pages[img.Pages[i].PN] = &page{w: img.Pages[i].Words, owner: m.owner}
 	}
 	m.notPresent = make(map[uint32]bool, len(img.NotPresent))
 	for _, pn := range img.NotPresent {
@@ -91,6 +94,56 @@ func (m *Memory) Restore(img *MemoryImage) {
 			m.pending[ln] = true
 		}
 	}
+}
+
+// WriteDigest writes what a state hash must know of the memory to h:
+// each page of Capture's page set, zero pages included, as its number
+// and its cached SHA-256 digest, in page order; then the not-present
+// page numbers and the persistence tier (the enable bit, each dirty
+// line's NVM image, the pending lines). Two memories write the same
+// bytes exactly when their captures are equal but for PageFaults, which
+// is accounting and left out. No page is copied or encoded, and only a
+// page written since its last digest is hashed again.
+func (m *Memory) WriteDigest(h hash.Hash) {
+	pns := make([]uint32, 0, len(m.pages))
+	for pn := range m.pages {
+		pns = append(pns, pn)
+	}
+	slices.Sort(pns)
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(pns)))
+	for _, pn := range pns {
+		sum := m.pages[pn].digest()
+		b = binary.LittleEndian.AppendUint32(b, pn)
+		b = append(b, sum[:]...)
+	}
+	np := make([]uint32, 0, len(m.notPresent))
+	for pn := range m.notPresent {
+		np = append(np, pn)
+	}
+	slices.Sort(np)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(np)))
+	for _, pn := range np {
+		b = binary.LittleEndian.AppendUint32(b, pn)
+	}
+	if m.persist {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	dirty := m.DirtyLines()
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(dirty)))
+	for _, ln := range dirty {
+		b = binary.LittleEndian.AppendUint32(b, ln)
+		for _, v := range m.nvLines[ln] {
+			b = binary.LittleEndian.AppendUint32(b, uint32(v))
+		}
+	}
+	pending := m.PendingLines()
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(pending)))
+	for _, ln := range pending {
+		b = binary.LittleEndian.AppendUint32(b, ln)
+	}
+	h.Write(b)
 }
 
 // MachineImage is a value snapshot of a Machine: execution statistics, the
@@ -130,6 +183,17 @@ func (m *Machine) capture(mem *MemoryImage) *MachineImage {
 // a cost model mismatch would silently diverge the replay, so it is
 // reported as an error instead.
 func (m *Machine) Restore(img *MachineImage) error {
+	if err := m.RestoreShared(img); err != nil {
+		return err
+	}
+	m.Mem.Restore(img.Mem)
+	return nil
+}
+
+// RestoreShared is Restore without the memory, the inverse of
+// CaptureShared: the machines of an SMP complex leave their shared memory
+// to its owner, which restores it once.
+func (m *Machine) RestoreShared(img *MachineImage) error {
 	if img.ProfileName != m.Profile.Name {
 		return &RestoreError{Want: img.ProfileName, Got: m.Profile.Name}
 	}
@@ -137,7 +201,6 @@ func (m *Machine) Restore(img *MachineImage) error {
 	m.wb = append([]uint64(nil), img.WB...)
 	m.resValid = img.ResValid
 	m.resAddr = img.ResAddr
-	m.Mem.Restore(img.Mem)
 	return nil
 }
 
